@@ -1,0 +1,108 @@
+"""Golden bytes: the SHA-256 of every file the CLI writes for fixed inputs.
+
+The other CLI tests check physics to a tolerance; these pin the exact bytes,
+so a refactor that claims to keep the outputs unchanged is held to that.
+The digests were recorded with numpy 2.4 on x86-64 Linux; a different
+libm or numpy build may round differently and need them re-recorded.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from kanai_cavity import cli
+
+#: The README quick-start scenario.
+README_SCENARIO = {
+    "schema_version": 1,
+    "geometry": {"l1_over_f": 1.7, "l2_over_f": 1.5, "lambda_over_f": 1e-4},
+    "friction": {"kind": "constant", "gamma": 1e-3},
+    "run": {"n_max": 3000, "dn": 1, "engine": "gaussian_q"},
+    "outputs": {"formats": ["csv", "json"]},
+}
+
+#: A small monotone g(n) table whose nodes are off the 1/8-trip grid.
+TABLE_N = (0.0, 3.3, 7.1, 12.45, 18.0, 26.7, 33.05, 41.9, 50.0, 60.0)
+TABLE_G = (0.0, 0.011, 0.027, 0.05, 0.081, 0.12, 0.152, 0.21, 0.26, 0.33)
+
+TABULATED_SCENARIO = {
+    "schema_version": 1,
+    "geometry": {"l1_over_f": 1.7, "l2_over_f": 1.5, "lambda_over_f": 1e-4},
+    "friction": {"kind": "tabulated", "path": "table.csv"},
+    "run": {"n_max": 60, "dn": 0.5, "engine": "gaussian_q"},
+    "outputs": {"formats": ["csv", "json"]},
+}
+
+README_DIGESTS = {
+    "stability": {
+        "schedule_path.csv":
+            "fd2b7dd5aaa1b1b3f472fc7a680d06832ad8930983c6e4d03f509ae6a8e2b6ce",
+        "stability_raster.csv":
+            "97a5ccfb8a753dac3b6c537c054b006898ead475010c65f8384d3e1bc4ad6c92",
+    },
+    "schedule": {
+        "schedule.csv":
+            "31a3f8bdec640ca1c200a5bf1a454d707d5843f584fcd82d3fd901b6ea4d4351",
+    },
+    "ray": {
+        "ray_fit.json":
+            "881447b215e813c9342cd10bba4d2367b06e2db3e7f108ef079aaee444d058bb",
+        "ray_trace.csv":
+            "6711b1ff7b7795a7bc2f7e1e4f0909ab61c66839eee2117abf3c14749ddb29ef",
+    },
+    "lissajous": {
+        "lissajous_fit.json":
+            "f89d063dc0b840263c7e24ffc20fc5d739a4675ea6c0fc249fa86d9589393283",
+        "lissajous_trace.csv":
+            "e8835944283c3ae660da45a65dd64c298f8e1813ffddad511e734793dae4cd29",
+    },
+    "collapse": {
+        "collapse_gaussian_q.csv":
+            "4ec843c56f03138998e3fc05ece648938881c7c6cf1d105c939a1e2de3411821",
+    },
+    "crosscheck": {
+        "crosscheck_report.json":
+            "271ad729a0417eb526df9251a8d7049375cab74dafd8b652489349252bb0614e",
+    },
+}
+
+TABULATED_DIGESTS = {
+    "schedule": {
+        "schedule.csv":
+            "a67e587e4ec43b2f2113dc48db5254fe7fe36299c4b378276018f08f00d416e9",
+    },
+    "ray": {
+        "ray_fit.json":
+            "990bddedd503c4b9a2bdd8d6d795aa2b69078267e7b8d7bdec9956b7c8119d6f",
+        "ray_trace.csv":
+            "4afe0537c0c5e3777eee2a7e1beaeb9aa97719d9dfff9b94f2a91498c3027a54",
+    },
+    "collapse": {
+        "collapse_gaussian_q.csv":
+            "3a77d681b698fa6b104199a17f9ee914720454b96def14dc7fd795933d8f1b82",
+    },
+}
+
+
+def _digests(tmp_path, scenario, command):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    out = tmp_path / command
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", sorted(README_DIGESTS))
+def test_readme_scenario_bytes(tmp_path, command):
+    assert _digests(tmp_path, README_SCENARIO, command) == \
+        README_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(TABULATED_DIGESTS))
+def test_tabulated_scenario_bytes(tmp_path, command):
+    rows = ["n,g"] + ["%r,%r" % pair for pair in zip(TABLE_N, TABLE_G)]
+    (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
+    assert _digests(tmp_path, TABULATED_SCENARIO, command) == \
+        TABULATED_DIGESTS[command]
