@@ -2,7 +2,7 @@
 
 Commands::
 
-    kanai-cavity stability  --config cfg.json [--out DIR] [--jobs N]
+    kanai-cavity stability  --config cfg.json [--out DIR]
     kanai-cavity schedule   --config cfg.json [--out DIR]
     kanai-cavity ray        --config cfg.json [--out DIR]
     kanai-cavity lissajous  --config cfg.json [--out DIR]
@@ -32,7 +32,7 @@ from ._formats import atomic_write_text, csv_text, json_text
 from .core import FrictionProfile
 from .errors import (KanaiCavityError, NumericalError, ValidationError)
 from .kanai import crosscheck_engines
-from .paraxial import ResonatorGeometry, round_trip_elements, round_trip_matrix
+from .paraxial import ResonatorGeometry, round_trip_matrix, stability_map
 from .raysim import (RayState, fit_damped_oscillation, fit_envelope_rate,
                      iterate_ray, lissajous, pattern_radius)
 from .schedule import MirrorSchedule
@@ -80,8 +80,9 @@ def _number(sec, name, key, default=None, minimum=None, integer=False):
     value = sec.get(key, default)
     if value is None:
         _fail("%s.%s is required" % (name, key))
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail("%s.%s must be a number" % (name, key))
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        _fail("%s.%s must be a finite number" % (name, key))
     if integer:
         if float(value) != int(value):
             _fail("%s.%s must be an integer" % (name, key))
@@ -97,8 +98,8 @@ def _pair(sec, name, key, default):
     value = sec.get(key, list(default))
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)):
-        _fail("%s.%s must be a pair of numbers" % (name, key))
+                   or not math.isfinite(v) for v in value)):
+        _fail("%s.%s must be a pair of finite numbers" % (name, key))
     lo, hi = float(value[0]), float(value[1])
     if hi < lo:
         _fail("%s.%s is an empty range" % (name, key))
@@ -184,48 +185,21 @@ def cmd_stability(cfg, out_dir, jobs):
                          minimum=1, integer=True)
     l1_lo, l1_hi = _pair(st, "stability", "l1_range", (0.0, 4.0))
     l2_lo, l2_hi = _pair(st, "stability", "l2_range", (0.0, 4.0))
-    if resolution > 1 and (l1_hi <= l1_lo or l2_hi <= l2_lo):
-        _fail("stability ranges are empty for resolution > 1")
     geom, _ = _build_geometry(cfg)
-    config_dir = cfg["_config_dir"]
-    friction = _build_friction(cfg, config_dir)
+    friction = _build_friction(cfg, cfg["_config_dir"])
     run = _run_section(cfg)
-
-    l1_values = np.linspace(l1_lo, l1_hi, resolution)
-    l2_values = np.linspace(l2_lo, l2_hi, resolution)
-    s2_row = l2_values[np.newaxis, :]
-
-    def block(chunk):
-        a, _, _ = round_trip_elements(l1_values[chunk][:, np.newaxis], s2_row)
-        return a
-
-    if jobs > 1 and resolution >= jobs:
-        chunks = np.array_split(np.arange(resolution), jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(block, chunks))
-        a_values = np.vstack(blocks)
-    else:
-        a_values = block(np.arange(resolution))
-    stable = np.abs(a_values) <= 1.0
-    theta = np.where(stable, np.arccos(np.clip(a_values, -1.0, 1.0)),
-                     np.nan)
+    raster = stability_map((l1_lo, l1_hi), (l2_lo, l2_hi), resolution)
 
     sched = MirrorSchedule(geom, friction)
     n_values = _sample_times(run["n_max"], run["dn"])
     path_l1, path_l2 = sched.positions_at(n_values)
 
-    files = {}
-    raster_rows = []
-    for i in range(resolution):
-        for j in range(resolution):
-            raster_rows.append((l1_values[i], l2_values[j],
-                                bool(stable[i, j]), theta[i, j]))
-    files["stability_raster.csv"] = csv_text(
-        ["l1_over_f", "l2_over_f", "stable", "theta"], raster_rows)
-    files["schedule_path.csv"] = csv_text(
-        ["n", "l1_over_f", "l2_over_f"],
-        zip(n_values, path_l1, path_l2))
-    return files
+    return {
+        "stability_raster.csv": csv_text(
+            ["l1_over_f", "l2_over_f", "stable", "theta"], raster.rows()),
+        "schedule_path.csv": csv_text(
+            ["n", "l1_over_f", "l2_over_f"], zip(n_values, path_l1, path_l2)),
+    }
 
 
 def cmd_schedule(cfg, out_dir, jobs):
@@ -399,7 +373,7 @@ def main(argv=None):
                          help="output directory (default: outputs.directory "
                               "from the config, else the working directory)")
         cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for independent cells")
+                         help="worker threads for collapse engines")
     args = parser.parse_args(argv)
 
     try:

@@ -22,19 +22,24 @@ equals ``exp(-g(n))`` identically, which doubles as the module's main
 self-test.
 """
 
+import array
 import csv
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, UnsupportedRegimeError, ValidationError
+from .errors import (DomainError, NumericalError, UnsupportedRegimeError,
+                     ValidationError)
 
-#: Default relative tolerance of the fundamental-solution ODE integrator.
-ODE_RTOL = 1e-11
-#: Default absolute tolerance of the fundamental-solution ODE integrator.
-ODE_ATOL = 1e-13
+#: Gauss-Legendre nodes of a Magnus step, as fractions of the step.
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+#: Magnus steps per round trip at which the ODE branch starts halving.
+_START_STEPS = 8
+#: Halvings after which the ODE branch gives up (512 steps per trip).
+_MAX_HALVINGS = 6
+#: Largest change under one halving, relative to max |Phi|, that converges.
+_FLOW_TOL = 1e-11
 
 
 class FrictionProfile:
@@ -196,41 +201,88 @@ class OscillatorParams:
         return "OscillatorParams(omega=%g, friction=%r)" % (self.omega, self.friction)
 
 
-class _PiecewiseDense:
-    """Chain of dense ODE solutions over contiguous segments."""
+def magnus4_steps(start, h, generator, scale=1.0):
+    """Step matrices of the fourth-order Magnus scheme for a 2x2 linear flow.
 
-    def __init__(self, breaks, segments):
-        self.breaks = np.asarray(breaks, dtype=float)
-        self.segments = segments
+    The steps run from ``start`` to ``start + h`` (arrays, one value per
+    step, or scalars that broadcast).  The flow's generator at times ``t``
+    is ``scale * [[alpha, beta], [gamma, -alpha]]`` with ``(alpha, beta,
+    gamma) = generator(t)``; it is sampled at the two Gauss nodes of each
+    step.  The Magnus generator of a step (Blanes, Casas, Oteo & Ros, Phys.
+    Rep. 470, 2009) is traceless, so its exponential is taken in closed
+    form and has unit determinant to rounding.
 
-    def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self.breaks, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.segments) - 1)
-        out = np.empty((4, t.size))
-        for i in np.unique(idx):
-            mask = idx == i
-            out[:, mask] = self.segments[i](t[mask])
-        return out
+    Returns the step matrix entries ``(e11, e12, e21, e22)`` as arrays.
+    """
+    a1, b1, c1 = generator(start + _GAUSS_NODES[0] * h)
+    a2, b2, c2 = generator(start + _GAUSS_NODES[1] * h)
+    half = 0.5 * h * scale
+    comm = math.sqrt(3.0) * h * h / 12.0 * scale * scale
+    a = np.atleast_1d(half * (a1 + a2) + comm * (b2 * c1 - b1 * c2))
+    b = half * (b1 + b2) + 2.0 * comm * (a2 * b1 - a1 * b2)
+    c = half * (c1 + c2) + 2.0 * comm * (a1 * c2 - a2 * c1)
+    s_sq = a * a + b * c
+    s = np.sqrt(np.abs(s_sq))
+    grow = s_sq >= 0.0
+    ch = np.where(grow, np.cosh(s), np.cos(s))
+    sh = np.where(grow, np.sinh(s), np.sin(s))
+    shs = np.divide(sh, s, out=1.0 + s_sq / 6.0, where=s > 1e-8)
+    return ch + a * shs, b * shs, c * shs, ch - a * shs
+
+
+def flow_products(steps):
+    """Running products of 2x2 step matrices, applied in step order.
+
+    ``steps`` holds the entries ``(e11, e12, e21, e22)`` of the step
+    matrices E_0 ... E_{K-1} as arrays.  Returns a (K+1, 4) array whose row
+    k holds the entries (p11, p12, p21, p22) of E_{k-1} ... E_0; row 0 is
+    the identity.  The products are formed one step at a time in scalar
+    arithmetic, so their rounding does not depend on how the step matrices
+    were computed.
+    """
+    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    out = array.array("d", (p11, p12, p21, p22))
+    for e11, e12, e21, e22 in zip(*(e.tolist() for e in steps)):
+        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
+                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
+        out.extend((p11, p12, p21, p22))
+    return np.frombuffer(out).reshape(-1, 4)
+
+
+def _oscillator_steps(friction, omega_sq, lo, hi):
+    """Step matrices of x'' + gdot x' + omega^2 x = 0 in (x, x') from lo to hi.
+
+    The generator [[0, 1], [-omega^2, -gdot]] splits into its trace part,
+    integrated exactly as the factor exp(-(g(hi) - g(lo))/2), and the
+    traceless part [[gdot/2, 1], [-omega^2, -gdot/2]], which goes through
+    :func:`magnus4_steps`.  Each step's determinant is therefore
+    exp(-delta g) to rounding, and gdot is needed only at the Gauss nodes.
+    """
+    decay = np.exp(-0.5 * (friction.evaluate(hi)[0] - friction.evaluate(lo)[0]))
+    steps = magnus4_steps(
+        lo, hi - lo, lambda t: (0.5 * friction.evaluate(t)[1], 1.0, -omega_sq))
+    return [decay * e for e in steps]
 
 
 class ClassicalSolution:
     """Fundamental solutions u1, u2 of the damped oscillator and derivatives.
 
     ``kind`` is ``"closed_form"`` (constant underdamped friction) or
-    ``"ode"`` (adaptive integration, any profile).  All evaluators are
+    ``"ode"`` (Magnus integration, any profile).  All evaluators are
     vectorized over ``n``; the ODE branch is restricted to the integrated
-    window ``[0, n_max]``.
+    window ``[0, n_max]``.  It stores the solutions at every step boundary
+    and reaches any other ``n`` by one partial step from the boundary below.
     """
 
-    def __init__(self, params, kind, dense=None, n_max=math.inf):
+    def __init__(self, params, kind, n_max=math.inf, flow=None):
         self.params = params
         self.kind = kind
-        self._dense = dense
         self.n_max = n_max
         if kind == "closed_form":
             self._gamma = params.friction.gamma
             self._big_omega = params.reduced_frequency
+        else:
+            self._t, self._phi = flow
 
     def _check_domain(self, arr):
         if np.any(arr < 0.0):
@@ -257,8 +309,16 @@ class ClassicalSolution:
             else:
                 out = -(self.params.omega ** 2 / big) * env * s
         else:
-            ys = self._dense(np.atleast_1d(arr))
-            out = ys[index]
+            flat = np.atleast_1d(arr)
+            k = np.clip(np.searchsorted(self._t, flat, side="right") - 1,
+                        0, self._t.size - 1)
+            e = _oscillator_steps(self.params.friction, self.params.omega ** 2,
+                                  self._t[k], flat)
+            # Phi maps (x, x') at 0 to (x, x') at n: u1, which starts at
+            # (0, 1), is its second column and u2 its first.
+            row, col = index % 2, 1 - index // 2
+            out = (e[2 * row] * self._phi[k, col]
+                   + e[2 * row + 1] * self._phi[k, 2 + col])
             if arr.ndim == 0:
                 out = out[0]
         if np.isscalar(n) or (isinstance(n, np.ndarray) and n.ndim == 0):
@@ -286,8 +346,7 @@ class ClassicalSolution:
         return self.du1(n) * self.u2(n) - self.du2(n) * self.u1(n)
 
 
-def fundamental_solutions(params, method="auto", n_max=None,
-                          rtol=ODE_RTOL, atol=ODE_ATOL):
+def fundamental_solutions(params, method="auto", n_max=None):
     """Build the fundamental solutions u1, u2 for the given oscillator.
 
     Parameters
@@ -296,19 +355,21 @@ def fundamental_solutions(params, method="auto", n_max=None,
     method : {"auto", "closed_form", "ode"}
         "closed_form" requires constant friction with gamma < 2*omega and
         returns exact expressions; "ode" integrates the equation of motion
-        with an adaptive high-order scheme; "auto" picks the closed form
-        whenever it applies.
+        with the fourth-order Magnus scheme, halving the step until it
+        converges; "auto" picks the closed form whenever it applies.
     n_max : float, optional
         Upper end of the integration window (ODE branch only).  Defaults to
         the tabulated friction range; required for constant friction on the
         ODE branch.
-    rtol, atol : float
-        ODE integrator tolerances (the defaults support windows up to
-        n ~ 1e4).
 
     Returns
     -------
     ClassicalSolution
+
+    Raises
+    ------
+    NumericalError
+        If the ODE branch has not converged at 512 steps per trip.
     """
     closed_ok = params.friction.kind == "constant" and \
         params.friction.gamma < 2.0 * params.omega
@@ -339,33 +400,33 @@ def fundamental_solutions(params, method="auto", n_max=None,
     omega_sq = params.omega ** 2
     friction = params.friction
 
-    def rhs(t, y):
-        _, gdot = friction.evaluate(t)
-        return [y[1], -gdot * y[1] - omega_sq * y[0],
-                y[3], -gdot * y[3] - omega_sq * y[2]]
-
     # The monotone interpolant of a tabulated profile has curvature jumps at
-    # the table nodes, which silently degrades a high-order integrator that
-    # steps across them; restarting at each node keeps full accuracy.
-    if friction.kind == "tabulated":
-        nodes = friction.nodes
-        interior = nodes[(nodes > 0.0) & (nodes < n_max)]
-        breaks = np.concatenate(([0.0], interior, [n_max]))
-    else:
-        breaks = np.array([0.0, n_max])
-    segments = []
-    y0 = [0.0, 1.0, 1.0, 0.0]
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        result = solve_ivp(rhs, (lo, hi), y0, method="DOP853",
-                           dense_output=True, rtol=rtol, atol=atol)
-        if not result.success:
-            raise ValidationError(
-                "fundamental-solution integration failed: %s" % result.message)
-        segments.append(result.sol)
-        y0 = result.y[:, -1]
-    dense = segments[0] if len(segments) == 1 else \
-        _PiecewiseDense(breaks, segments)
-    return ClassicalSolution(params, "ode", dense=dense, n_max=n_max)
+    # the table nodes; a step across one loses the order of the Gauss nodes,
+    # so steps end at every node.
+    nodes = np.empty(0) if friction.nodes is None else friction.nodes
+    interior = nodes[(nodes > 0.0) & (nodes < n_max)]
+    breaks = np.concatenate(([0.0], interior, [n_max]))
+    counts = np.maximum(1, np.ceil(np.diff(breaks) * _START_STEPS)).astype(int)
+    coarse = None
+    # In a stiff flow a step that is too long overflows cosh; halving
+    # discards such a level, so its floating-point warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for halving in range(_MAX_HALVINGS + 1):
+            t = np.concatenate(
+                [np.linspace(lo, hi, m << halving, endpoint=False)
+                 for lo, hi, m in zip(breaks[:-1], breaks[1:], counts)]
+                + [breaks[-1:]])
+            phi = flow_products(
+                _oscillator_steps(friction, omega_sq, t[:-1], t[1:]))
+            if coarse is not None:
+                change = np.max(np.abs(phi[::2] - coarse))
+                if change <= _FLOW_TOL * np.max(np.abs(phi)):
+                    return ClassicalSolution(params, "ode", n_max=n_max,
+                                             flow=(t, phi))
+            coarse = phi
+    raise NumericalError(
+        "fundamental solutions did not converge at %d Magnus steps per trip "
+        "(last change %.3g)" % (_START_STEPS << _MAX_HALVINGS, change))
 
 
 def wronskian(sol, n):

@@ -27,6 +27,7 @@ import os
 import numpy as np
 
 from ._formats import atomic_write_bytes, atomic_write_text, json_text
+from .core import flow_products, magnus4_steps
 from .errors import (BeamParameterError, NearFocalPlaneError,
                      NearInstabilityError, ResolutionError, SamplingError,
                      ValidationError)
@@ -43,8 +44,8 @@ DEFAULT_GRID_N = 4096
 DEFAULT_WINDOW_FACTOR = 16.0
 #: Default substeps per round trip of the split-step engine.
 DEFAULT_SUBSTEPS = 8
-#: Default Magnus step (fraction of a round trip) of the gaussian_q engine.
-DEFAULT_Q_STEP = 0.125
+#: Magnus steps per round trip of the gaussian_q engine.
+Q_STEPS = 8
 
 _PLANE_TAGS = ("left_mirror", "right_mirror")
 
@@ -304,8 +305,7 @@ def _check_chirp_sampling(field, a_elem, b_elem):
             % (nu_needed, nu_nyquist, suggested), suggested_n=suggested)
 
 
-def fresnel_round_trip(field, m, eps_b=EPSILON_B, plane_tag=None,
-                       check_sampling=True):
+def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
     """Apply the generalized diffraction integral of a ray matrix.
 
     Implements
@@ -318,15 +318,15 @@ def fresnel_round_trip(field, m, eps_b=EPSILON_B, plane_tag=None,
     ``lambda |b| / (N dx_in)`` -- it is not resampled, so along a damping
     schedule the grid contracts together with the field.
 
-    Raises :class:`NearFocalPlaneError` for |b| <= eps_b (the kernel is
+    Raises :class:`NearFocalPlaneError` for |b| <= EPSILON_B (the kernel is
     singular at b = 0) and :class:`SamplingError` when the chirp would alias.
     """
     _require_centered(field)
     a_el, b_el, d_el = m.a, m.b, m.d
-    if abs(b_el) <= eps_b:
+    if abs(b_el) <= EPSILON_B:
         raise NearFocalPlaneError(
             "|b| = %g <= %g: reference plane too close to a focal plane "
-            "for the diffraction kernel" % (abs(b_el), eps_b))
+            "for the diffraction kernel" % (abs(b_el), EPSILON_B))
     if check_sampling:
         _check_chirp_sampling(field, a_el, b_el)
     lam = field.wavelength
@@ -421,73 +421,39 @@ class GaussianQTrace:
         self.w2 = np.asarray(w2, dtype=float)
 
 
-def _flow_trace(q0, b0, c0, kk, friction, n_max, steps, sign):
+def _flow_trace(q0, b0, c0, kk, friction, n_max, sign):
     """Integrate the 2x2 continuum flow and record q at integer trips.
 
     The generator is (theta/sin theta) [[0, b(n)], [c(n), 0]] with
     b(n) = b0 e^{-g}, c(n) = c0 e^{+g} (sign=+1, left mirror) or
-    b(n) = b0 e^{+g}, c(n) = c0 e^{-g} (sign=-1, right mirror).  One Magnus
-    step per node pair keeps the map symplectic to fourth order in the step.
+    b(n) = b0 e^{+g}, c(n) = c0 e^{-g} (sign=-1, right mirror).  Magnus
+    steps of 1/Q_STEPS trip keep the map symplectic to fourth order.
     """
-    h = 1.0 / steps
-    total = n_max * steps
-    offset = math.sqrt(3.0) / 6.0
-    base = np.arange(total) * h
-    nodes1 = base + (0.5 - offset) * h
-    nodes2 = base + (0.5 + offset) * h
-    if total:
-        g1 = friction.evaluate(nodes1)[0]
-        g2 = friction.evaluate(nodes2)[0]
-    else:
-        g1 = g2 = np.empty(0)
-    b_node1 = (b0 * np.exp(-sign * g1)).tolist()
-    c_node1 = (c0 * np.exp(sign * g1)).tolist()
-    b_node2 = (b0 * np.exp(-sign * g2)).tolist()
-    c_node2 = (c0 * np.exp(sign * g2)).tolist()
+    def generator(n):
+        g = friction.evaluate(n)[0]
+        return 0.0, b0 * np.exp(-sign * g), c0 * np.exp(sign * g)
 
-    commutator_scale = math.sqrt(3.0) * h * h / 12.0 * kk * kk
-    half_h = 0.5 * h * kk
-    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    h = 1.0 / Q_STEPS
+    steps = magnus4_steps(np.arange(n_max * Q_STEPS) * h, h, generator,
+                          scale=kk)
     qs = [q0]
-    for i in range(total):
-        b1, c1 = b_node1[i], c_node1[i]
-        b2, c2 = b_node2[i], c_node2[i]
-        a = commutator_scale * (b2 * c1 - b1 * c2)
-        bb = half_h * (b1 + b2)
-        cc = half_h * (c1 + c2)
-        s_sq = a * a + bb * cc
-        if s_sq >= 0.0:
-            s = math.sqrt(s_sq)
-            ch = math.cosh(s)
-            shs = math.sinh(s) / s if s > 1e-8 else 1.0 + s_sq / 6.0
-        else:
-            s = math.sqrt(-s_sq)
-            ch = math.cos(s)
-            shs = math.sin(s) / s if s > 1e-8 else 1.0 + s_sq / 6.0
-        e11 = ch + a * shs
-        e12 = bb * shs
-        e21 = cc * shs
-        e22 = ch - a * shs
-        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
-                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
-        if (i + 1) % steps == 0:
-            denom = p21 * q0 + p22
-            if abs(denom) < 1e-12:
-                raise BeamParameterError(
-                    "beam-parameter flow singular at trip %d" % ((i + 1) // steps))
-            qs.append((p11 * q0 + p12) / denom)
+    trips = flow_products(steps)[Q_STEPS::Q_STEPS].tolist()
+    for trip, (p11, p12, p21, p22) in enumerate(trips, 1):
+        denom = p21 * q0 + p22
+        if abs(denom) < 1e-12:
+            raise BeamParameterError(
+                "beam-parameter flow singular at trip %d" % trip)
+        qs.append((p11 * q0 + p12) / denom)
     return qs
 
 
-def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH,
-                     step=DEFAULT_Q_STEP):
+def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
     """Track the complex beam parameter on both mirrors along a schedule.
 
     The left-mirror parameter starts at ``q0``; the right-mirror parameter
     starts at the half-trip image of ``q0`` and evolves under the
     right-mirror round-trip elements.  Spot sizes are derived from q at each
-    integer trip.  ``step`` is the Magnus integration step in round trips
-    (must divide 1).
+    integer trip.
     """
     q0 = complex(q0)
     if not (q0.imag > 0.0):
@@ -495,15 +461,12 @@ def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH,
     n_max = int(n_max)
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    steps = int(round(1.0 / step))
-    if steps < 1 or abs(steps * step - 1.0) > 1e-9:
-        raise ValidationError("step must divide one round trip")
     kk = sched.theta / math.sin(sched.theta)
     q_right0 = beam_round_trip(q0, sched.half_matrix_at(0.0))
     q_left = _flow_trace(q0, sched.b0, sched.c0, kk,
-                         sched.friction, n_max, steps, +1.0)
+                         sched.friction, n_max, +1.0)
     q_right = _flow_trace(q_right0, sched.right_b0, sched.right_c0, kk,
-                          sched.friction, n_max, steps, -1.0)
+                          sched.friction, n_max, -1.0)
     w1 = [_spot_from_q(q, wavelength) for q in q_left]
     w2 = [_spot_from_q(q, wavelength) for q in q_right]
     return GaussianQTrace(np.arange(n_max + 1), q_left, q_right, w1, w2)
@@ -547,8 +510,7 @@ def _centroid_ray(sched, beam, n_max):
 
 def run_collapse(sched, initial, n_max, engine="fresnel",
                  wavelength=None, grid_n=DEFAULT_GRID_N,
-                 window_factor=DEFAULT_WINDOW_FACTOR,
-                 substeps=DEFAULT_SUBSTEPS, q_step=DEFAULT_Q_STEP):
+                 window_factor=DEFAULT_WINDOW_FACTOR):
     """Propagate an initial beam or field along a schedule and log collapse.
 
     Parameters
@@ -579,8 +541,7 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
                 "the gaussian_q engine needs a GaussianBeam initial state")
         if wavelength is None:
             raise ValidationError("wavelength is required with a beam input")
-        qtrace = gaussian_q_trace(sched, initial.q, n_max, wavelength,
-                                  step=q_step)
+        qtrace = gaussian_q_trace(sched, initial.q, n_max, wavelength)
         centroid = _centroid_ray(sched, initial, n_max)
         norm = np.full(n_max + 1, initial.amplitude ** 2)
         return CollapseTrace(qtrace.n, qtrace.w1, qtrace.w2, norm, centroid,
@@ -630,7 +591,7 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
                 field = fresnel_round_trip(field, m)
             else:
                 field = split_step_round_trip(field, theta, b_arr[n],
-                                              c_arr[n], k, substeps)
+                                              c_arr[n], k)
         except SamplingError as exc:
             diagnostic = "run truncated at trip %d: %s" % (n + 1, exc)
             break

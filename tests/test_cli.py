@@ -284,6 +284,28 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("collapse", {"geometry": {"l1_over_f": 1.7, "l2_over_f": 1.5,
+                               "lambda_over_f": NAN}}),
+    ("ray", {"run": {"n_max": INF}}),
+    ("schedule", {"run": {"n_max": 50, "dn": NAN}}),
+    ("stability", {"stability": {"l1_range": [0.0, NAN]}}),
+    ("stability", {"stability": {"l2_range": [-INF, 4.0]}}),
+    ("ray", {"ray": {"x0": NAN}}),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command,
+                                          overrides):
+    # json.dumps writes these as the NaN / Infinity tokens json.loads accepts
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_outputs_are_deterministic(tmp_path):
     cfg = write_config(tmp_path,
                        run={"n_max": 200, "dn": 1, "engine": "gaussian_q"})

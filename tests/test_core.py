@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from kanai_cavity.core import (
     ClassicalSolution,
@@ -11,10 +12,12 @@ from kanai_cavity.core import (
     OscillatorParams,
     eval_friction,
     fundamental_solutions,
+    magnus4_steps,
     wronskian,
 )
 from kanai_cavity.errors import (
     DomainError,
+    NumericalError,
     UnsupportedRegimeError,
     ValidationError,
 )
@@ -258,6 +261,114 @@ def test_closed_form_requires_constant_friction():
     sol = fundamental_solutions(params)  # auto falls back to the ODE
     assert isinstance(sol, ClassicalSolution)
     assert abs(sol.u2(0.0) - 1.0) == 0.0
+
+
+def test_magnus_step_local_error_is_fifth_order():
+    # a generator whose values at different times do not commute, so the
+    # commutator term of the scheme matters
+    def generator(t):
+        return 0.3 * t, 1.0 + 0.5 * t, -(1.0 + t)
+
+    def rhs(t, y):
+        a, b, c = generator(t)
+        return [a * y[0] + b * y[2], a * y[1] + b * y[3],
+                c * y[0] - a * y[2], c * y[1] - a * y[3]]
+
+    errors = []
+    for h in (0.4, 0.2):
+        ref = solve_ivp(rhs, (0.0, h), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-15).y[:, -1]
+        step = np.array(magnus4_steps(np.array([0.0]), h, generator))[:, 0]
+        errors.append(np.max(np.abs(step - ref)))
+    # local error O(h^5): halving h divides it by about 32
+    assert errors[0] / errors[1] > 24.0, errors
+
+
+def _rough_friction(seed=3, n_max=40.0):
+    """Monotone table with nodes every 0.2-0.9 trips (off the 1/8-trip
+    grid) and rates up to 4e-2 per trip."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.2, 0.9, int(n_max / 0.2) + 1)
+    nodes = np.concatenate(([0.0], np.cumsum(steps)))
+    nodes = nodes[nodes < n_max - 0.1]
+    nodes = np.append(nodes, n_max)
+    rates = rng.uniform(0.0, 4e-2, nodes.size - 1)
+    g = np.concatenate(([0.0], np.cumsum(rates * np.diff(nodes))))
+    return FrictionProfile.tabulated(nodes, g)
+
+
+def _dop853_oracle(friction, omega, n):
+    """u1, u1', u2, u2' at ``n`` by DOP853, restarted at every table node."""
+    def rhs(t, y):
+        gdot = friction.evaluate(t)[1]
+        return [y[1], -gdot * y[1] - omega ** 2 * y[0],
+                y[3], -gdot * y[3] - omega ** 2 * y[2]]
+
+    out = np.empty((4, n.size))
+    y = [0.0, 1.0, 1.0, 0.0]
+    nodes = friction.nodes
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        seg = solve_ivp(rhs, (lo, hi), y, method="DOP853", dense_output=True,
+                        rtol=1e-12, atol=1e-14)
+        inside = (n >= lo) & (n <= hi)
+        out[:, inside] = seg.sol(n[inside])
+        y = seg.y[:, -1]
+    return out
+
+
+def test_magnus_flow_matches_dop853_on_rough_table():
+    friction = _rough_friction()
+    omega = 1.88
+    sol = fundamental_solutions(OscillatorParams(omega, friction))
+    n = np.linspace(0.0, friction.n_max, 777)
+    ref = _dop853_oracle(friction, omega, n)
+    for row, fn in enumerate(("u1", "du1", "u2", "du2")):
+        dev = np.max(np.abs(getattr(sol, fn)(n) - ref[row]))
+        assert dev <= 1e-8, (fn, dev)
+    g_n, _ = friction.evaluate(n)
+    assert np.max(np.abs(sol.wronskian(n) - np.exp(-g_n))) < 1e-12
+
+
+def test_magnus_flow_matches_closed_form_between_and_on_boundaries():
+    # 12.3 trips is not a multiple of the 1/8-trip starting step
+    params = OscillatorParams(1.3, FrictionProfile.constant(0.2))
+    closed = fundamental_solutions(params, method="closed_form")
+    ode = fundamental_solutions(params, method="ode", n_max=12.3)
+    bounds = ode._t
+    assert bounds[-1] == 12.3
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    thirds = bounds[:-1] + (bounds[1:] - bounds[:-1]) / 3.0
+    for n in (bounds, mids, thirds, np.array([0.05, 7.77, 12.3])):
+        for fn in ("u1", "du1", "u2", "du2"):
+            dev = np.max(np.abs(getattr(ode, fn)(n) - getattr(closed, fn)(n)))
+            assert dev < 1e-11, (fn, dev)
+    assert ode.u1(12.3) == pytest.approx(closed.u1(12.3), abs=1e-11)
+
+
+def test_overdamped_ode_branch_stays_finite_over_long_window():
+    # gamma = 10: g reaches 2000, far beyond where e^{g} overflows
+    gamma, omega = 10.0, 1.0
+    params = OscillatorParams(omega, FrictionProfile.constant(gamma))
+    sol = fundamental_solutions(params, method="ode", n_max=200.0)
+    n = np.linspace(0.0, 200.0, 401)
+    kappa = math.sqrt(gamma ** 2 / 4.0 - omega ** 2)
+    slow = np.exp((kappa - gamma / 2.0) * n)
+    fast = np.exp(-(kappa + gamma / 2.0) * n)
+    u1 = (slow - fast) / (2.0 * kappa)
+    u2 = 0.5 * ((1.0 + gamma / (2.0 * kappa)) * slow
+                + (1.0 - gamma / (2.0 * kappa)) * fast)
+    for fn in ("u1", "du1", "u2", "du2"):
+        assert np.all(np.isfinite(getattr(sol, fn)(n))), fn
+    assert np.max(np.abs(sol.u1(n) - u1)) < 1e-10
+    assert np.max(np.abs(sol.u2(n) - u2)) < 1e-10
+
+
+def test_ode_branch_raises_when_halving_does_not_converge():
+    # cosh(s) of a Magnus step overflows unless the step is far below
+    # 1/512 trip, so every level up to the cap is NaN
+    params = OscillatorParams(1.0, FrictionProfile.constant(1e6))
+    with pytest.raises(NumericalError, match="512 Magnus steps per trip"):
+        fundamental_solutions(params, method="ode", n_max=1.0)
 
 
 def test_overdamped_ode_branch_still_integrates():
