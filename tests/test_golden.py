@@ -2,6 +2,8 @@
 
 The other CLI tests check physics to a tolerance; these pin the exact bytes,
 so a refactor that claims to keep the outputs unchanged is held to that.
+The grid-engine cases (fresnel and split_step collapse, a tabulated
+crosscheck) are small enough to run in well under a second.
 The digests were recorded with numpy 2.4 on x86-64 Linux; a different
 libm or numpy build may round differently and need them re-recorded.
 """
@@ -33,6 +35,9 @@ TABULATED_SCENARIO = {
     "run": {"n_max": 60, "dn": 0.5, "engine": "gaussian_q"},
     "outputs": {"formats": ["csv", "json"]},
 }
+
+#: Small grid-engine runs: 20 trips at gamma = 5e-3, centred and displaced.
+GRID_N = {"fresnel": 512, "split_step": 256}
 
 README_DIGESTS = {
     "stability": {
@@ -85,6 +90,27 @@ TABULATED_DIGESTS = {
 }
 
 
+GRID_DIGESTS = {
+    ("fresnel", 0.0):
+        "d0824f3668b4d95634a20db93ea8e5d774090ca9c84326f822cc62a72a253b5e",
+    ("fresnel", 1.0):
+        "1ba5f63095c5186980dfb079ea843f7bef12aaaca199b5ef48631acf55829ed7",
+    ("split_step", 0.0):
+        "0de231d66d5d6b6b32cc80a8c7dad36421339374fad11b8373c8da5eaa7ec49e",
+    ("split_step", 1.0):
+        "b6d2e574d8dbb86a8fb40ae6bcc54a4b14c7982d5b332fbe5e29fbbf9aa9dea3",
+}
+
+#: A 20-trip crosscheck at N = 512 on the tabulated table.
+TABULATED_CROSSCHECK_DIGEST = \
+    "e01bf5d7fa7fda595cd9ae1087dcf40f94eaf9b261fc2f56f5b4ea9c7c04c820"
+
+
+def _write_table(tmp_path):
+    rows = ["n,g"] + ["%r,%r" % pair for pair in zip(TABLE_N, TABLE_G)]
+    (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
+
+
 def _digests(tmp_path, scenario, command):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(scenario))
@@ -102,7 +128,24 @@ def test_readme_scenario_bytes(tmp_path, command):
 
 @pytest.mark.parametrize("command", sorted(TABULATED_DIGESTS))
 def test_tabulated_scenario_bytes(tmp_path, command):
-    rows = ["n,g"] + ["%r,%r" % pair for pair in zip(TABLE_N, TABLE_G)]
-    (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
+    _write_table(tmp_path)
     assert _digests(tmp_path, TABULATED_SCENARIO, command) == \
         TABULATED_DIGESTS[command]
+
+
+@pytest.mark.parametrize("engine,center", sorted(GRID_DIGESTS))
+def test_grid_engine_collapse_bytes(tmp_path, engine, center):
+    scenario = dict(README_SCENARIO,
+                    friction={"kind": "constant", "gamma": 5e-3},
+                    run={"n_max": 20, "engine": engine,
+                         "grid_n": GRID_N[engine]},
+                    collapse={"center_over_w1": center})
+    assert _digests(tmp_path, scenario, "collapse") == {
+        "collapse_%s.csv" % engine: GRID_DIGESTS[engine, center]}
+
+
+def test_tabulated_crosscheck_bytes(tmp_path):
+    _write_table(tmp_path)
+    scenario = dict(TABULATED_SCENARIO, run={"n_max": 20, "grid_n": 512})
+    assert _digests(tmp_path, scenario, "crosscheck") == {
+        "crosscheck_report.json": TABULATED_CROSSCHECK_DIGEST}
