@@ -65,9 +65,15 @@ class ComplexField:
     ``x0`` is the coordinate of sample 0 (grids used by the engines are
     centered: x0 = -(N//2) dx).  ``plane_tag`` records which mirror plane
     the samples live on.
+
+    A field is immutable: ``samples`` is a read-only view of the array
+    passed in, so |psi|^2, the grid, the centroid and the sampling
+    statistics are each computed at most once per field.  The caller must
+    not write to that array afterwards.
     """
 
-    __slots__ = ("samples", "dx", "x0", "wavelength", "plane_tag")
+    __slots__ = ("samples", "dx", "x0", "wavelength", "plane_tag",
+                 "_intensity", "_power", "_grid", "_centroid", "_chirp_stats")
 
     def __init__(self, samples, dx, x0, wavelength, plane_tag="left_mirror"):
         samples = np.asarray(samples, dtype=complex)
@@ -81,16 +87,26 @@ class ComplexField:
             raise ValidationError("dx and wavelength must be > 0")
         if plane_tag not in _PLANE_TAGS:
             raise ValidationError("plane_tag must be one of %r" % (_PLANE_TAGS,))
-        if not np.all(np.isfinite(samples.view(float))):
-            raise ValidationError("field samples must be finite")
-        norm_sq = float(np.sum(np.abs(samples) ** 2)) * dx
+        intensity = np.abs(samples) ** 2
+        power = float(np.sum(intensity))
+        norm_sq = power * dx
         if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
+            # A NaN or infinite sample makes the norm non-finite, so only
+            # this path needs the scan that tells the two causes apart.
+            if not np.all(np.isfinite(samples)):
+                raise ValidationError("field samples must be finite")
             raise ValidationError("field norm must be positive and finite")
+        samples = samples.view()
+        samples.flags.writeable = False
+        intensity.flags.writeable = False
         self.samples = samples
         self.dx = dx
         self.x0 = float(x0)
         self.wavelength = wavelength
         self.plane_tag = plane_tag
+        self._intensity = intensity
+        self._power = power
+        self._grid = self._centroid = self._chirp_stats = None
 
     @property
     def n_samples(self):
@@ -98,7 +114,11 @@ class ComplexField:
 
     @property
     def grid(self):
-        return self.x0 + np.arange(self.samples.size) * self.dx
+        if self._grid is None:
+            grid = self.x0 + np.arange(self.samples.size) * self.dx
+            grid.flags.writeable = False
+            self._grid = grid
+        return self._grid
 
     @property
     def k(self):
@@ -106,12 +126,14 @@ class ComplexField:
 
     def norm_sq(self):
         """Integral of |psi|^2 dx."""
-        return float(np.sum(np.abs(self.samples) ** 2)) * self.dx
+        return self._power * self.dx
 
     def centroid(self):
         """Intensity-weighted mean position."""
-        intens = np.abs(self.samples) ** 2
-        return float(np.sum(intens * self.grid) / np.sum(intens))
+        if self._centroid is None:
+            self._centroid = float(np.sum(self._intensity * self.grid)
+                                   / self._power)
+        return self._centroid
 
     def with_samples(self, samples):
         return ComplexField(samples, self.dx, self.x0, self.wavelength,
@@ -192,16 +214,15 @@ def sample_beam(beam, wavelength, n_samples=DEFAULT_GRID_N, dx=None,
 
 def spot_size(field):
     """Spot size w = 2 sqrt(<x^2> - <x>^2) from the intensity profile."""
-    intens = np.abs(field.samples) ** 2
-    total = float(np.sum(intens))
+    intens = field._intensity
+    total = field._power
     if total <= 0.0:
         raise ValidationError("field carries no power")
     if int(np.count_nonzero(intens > 1e-12 * intens.max())) < 2:
         raise ResolutionError(
             "field support has degenerated to a single grid pixel")
-    x = field.grid
-    mean = float(np.sum(intens * x) / total)
-    var = float(np.sum(intens * (x - mean) ** 2) / total)
+    mean = field.centroid()
+    var = float(np.sum(intens * (field.grid - mean) ** 2) / total)
     return 2.0 * math.sqrt(max(var, 0.0))
 
 
@@ -273,25 +294,28 @@ def _check_chirp_sampling(field, a_elem, b_elem):
     field reaches -- kernel chirp rate |a| x / (lambda |b|) at the edge of
     the energy-carrying support, plus the field's own spectral extent -- and
     raises :class:`SamplingError` with a suggested grid size when it exceeds
-    95% of the grid Nyquist frequency.
+    95% of the grid Nyquist frequency.  Only the kernel term depends on
+    (a, b); the support edge and the spectral mean and spread are computed
+    once per field and kept on it.
     """
     lam = field.wavelength
     dx = field.dx
     n = field.n_samples
-    intens = np.abs(field.samples) ** 2
-    peak = intens.max()
-    mask = intens >= 1e-12 * peak
-    x = field.grid
-    total = float(np.sum(intens))
-    x_mean = float(np.sum(intens * x) / total)
-    x_edge = float(np.max(np.abs(x[mask] - x_mean))) + abs(x_mean)
+    if field._chirp_stats is None:
+        intens = field._intensity
+        x_mean = field.centroid()
+        support = field.grid[intens >= 1e-12 * intens.max()]
+        x_edge = float(np.max(np.abs(support - x_mean))) + abs(x_mean)
 
-    spectrum = np.fft.fft(np.fft.ifftshift(field.samples))
-    power = np.abs(spectrum) ** 2
-    power /= power.sum()
-    nu = np.fft.fftfreq(n, dx)
-    nu_mean = float(np.sum(power * nu))
-    nu_std = math.sqrt(max(float(np.sum(power * (nu - nu_mean) ** 2)), 0.0))
+        spectrum = np.fft.fft(np.fft.ifftshift(field.samples))
+        power = np.abs(spectrum) ** 2
+        power /= power.sum()
+        nu = np.fft.fftfreq(n, dx)
+        nu_mean = float(np.sum(power * nu))
+        nu_std = math.sqrt(
+            max(float(np.sum(power * (nu - nu_mean) ** 2)), 0.0))
+        field._chirp_stats = (x_edge, nu_mean, nu_std)
+    x_edge, nu_mean, nu_std = field._chirp_stats
 
     nu_kernel = abs(a_elem) * x_edge / (lam * abs(b_elem))
     nu_needed = nu_kernel + abs(nu_mean) + 5.0 * nu_std
@@ -376,23 +400,24 @@ def split_step_round_trip(field, theta, b, c, k, substeps=DEFAULT_SUBSTEPS):
         raise NearInstabilityError(
             "sin(theta) = %g: matrix too close to marginal stability for "
             "the continuous-time coefficients" % sin_theta)
-    x = field.grid
+    # The field stays in FFT order for the whole trip: the kicks act
+    # pointwise, so their tables take the shift instead of every stage.
+    x = np.fft.ifftshift(field.grid)
     kappa = 2.0 * math.pi * np.fft.fftfreq(field.n_samples, field.dx)
     c_kin = b * theta / (2.0 * k * sin_theta)
     c_pot = k * theta * c / (2.0 * sin_theta)
     dt = 1.0 / substeps
-    half_kicks = [np.exp(-1j * c_pot * (w * dt / 2.0) * x ** 2)
-                  for w in _SUZUKI_STAGES]
-    drifts = [np.exp(1j * c_kin * w * dt * kappa ** 2)
-              for w in _SUZUKI_STAGES]
-    out = field.samples
+    tables = {w: (np.exp(-1j * c_pot * (w * dt / 2.0) * x ** 2),
+                  np.exp(1j * c_kin * w * dt * kappa ** 2))
+              for w in set(_SUZUKI_STAGES)}
+    stages = [tables[w] for w in _SUZUKI_STAGES]
+    out = np.fft.ifftshift(field.samples)
     for _ in range(substeps):
-        for half_kick, drift in zip(half_kicks, drifts):
+        for half_kick, drift in stages:
             out = half_kick * out
-            out = np.fft.fftshift(
-                np.fft.ifft(np.fft.fft(np.fft.ifftshift(out)) * drift))
+            out = np.fft.ifft(np.fft.fft(out) * drift)
             out = half_kick * out
-    return field.with_samples(out)
+    return field.with_samples(np.fft.fftshift(out))
 
 
 def beam_round_trip(q, m):

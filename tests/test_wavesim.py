@@ -18,7 +18,9 @@ from kanai_cavity.errors import (
 from kanai_cavity.paraxial import AbcdMatrix, ResonatorGeometry, round_trip_matrix, stability
 from kanai_cavity.raysim import RayState, iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
+from kanai_cavity import wavesim
 from kanai_cavity.wavesim import (
+    DEFAULT_SUBSTEPS,
     ComplexField,
     GaussianBeam,
     centered_grid,
@@ -77,6 +79,29 @@ def test_field_validation():
     with pytest.raises(ValidationError):
         ComplexField(np.ones(64, complex), 1e-3, 0.0, WAVELENGTH,
                      plane_tag="waist")
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
+                                 complex(0.0, math.nan),
+                                 complex(math.inf, 0.0),
+                                 complex(-math.inf, 1.0),
+                                 complex(0.0, -math.inf)])
+def test_field_rejects_non_finite_samples(bad):
+    samples = np.ones(64, complex)
+    samples[5] = bad
+    with pytest.raises(ValidationError, match="field samples must be finite"):
+        ComplexField(samples, 1e-3, 0.0, WAVELENGTH)
+
+
+def test_field_is_read_only():
+    field = eigen_field(64)
+    with pytest.raises(ValueError):
+        field.samples[0] = 0.0
+    with pytest.raises(ValueError):
+        field.samples *= 2.0
+    with pytest.raises(ValueError):
+        field.grid[0] = 0.0
+    assert field.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_beam_requires_confinement():
@@ -187,6 +212,58 @@ def test_aliasing_guard_suggests_larger_grid():
     # the suggested size actually clears the guard
     bigger = eigen_field(suggested)
     fresnel_round_trip(bigger, MATRIX0)
+
+
+def test_repeated_sampling_check_raises_as_on_fresh_field():
+    field = eigen_field(32)
+    # a = 0 leaves only the field's own spectrum, which the grid resolves
+    wavesim._check_chirp_sampling(field, 0.0, MATRIX0.b)
+    with pytest.raises(SamplingError) as again:
+        wavesim._check_chirp_sampling(field, MATRIX0.a, MATRIX0.b)
+    with pytest.raises(SamplingError) as fresh:
+        wavesim._check_chirp_sampling(eigen_field(32), MATRIX0.a, MATRIX0.b)
+    assert again.value.suggested_n == fresh.value.suggested_n > 32
+    assert str(again.value) == str(fresh.value)
+
+
+@pytest.fixture
+def fft_count(monkeypatch):
+    """Count the transforms wavesim makes through numpy.fft."""
+    count = [0]
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return count
+
+
+def test_fresnel_collapse_transform_count(fft_count):
+    # per trip: one spectrum for the sampling check (shared by the half and
+    # the full trip, which start from the same field) and two round trips;
+    # the last row needs only the check and the half trip
+    sched = MirrorSchedule(GEOM0, FrictionProfile.constant(5e-3))
+    trace = run_collapse(sched, EIGENBEAM, 20, engine="fresnel",
+                         wavelength=WAVELENGTH, grid_n=512)
+    assert not trace.truncated
+    assert fft_count[0] == 3 * 20 + 2
+
+
+def test_split_step_transform_count(fft_count):
+    field = eigen_field(256)
+    split_step_round_trip(field, THETA, MATRIX0.b, MATRIX0.c, WAVENUMBER,
+                          substeps=3)
+    assert fft_count[0] == 2 * 5 * 3
+    sched = MirrorSchedule(GEOM0, FrictionProfile.constant(5e-3))
+    fft_count[0] = 0
+    trace = run_collapse(sched, EIGENBEAM, 3, engine="split_step",
+                         wavelength=WAVELENGTH, grid_n=256)
+    assert not trace.truncated
+    assert fft_count[0] == 3 * (2 + 2 * 5 * DEFAULT_SUBSTEPS) + 2
 
 
 # ---------------------------------------------------------------------------
