@@ -216,8 +216,11 @@ def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
     beam = GaussianBeam(q0, center=center, tilt=tilt)
     packet = GaussianWavepacket(beam.spot_size(wavelength) / 2.0,
                                 center=center, momentum=-tilt)
+    # At n_max = 0 only n = 0 is read, but an integrated window must be
+    # positive and inside a tabulated friction range.
     sol = fundamental_solutions(
-        OscillatorParams(params.omega, sched.friction), n_max=n_max)
+        OscillatorParams(params.omega, sched.friction),
+        n_max=n_max or min(1.0, sched.friction.n_max))
 
     field = sample_beam(beam, wavelength, grid_n, window_factor=window_factor)
     starts = np.arange(max(n_max, 1), dtype=float)

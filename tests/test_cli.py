@@ -242,6 +242,21 @@ def test_crosscheck_report(tmp_path):
         r["l2_distance"] for r in report["records"])
 
 
+@pytest.mark.parametrize("friction", [
+    {"kind": "constant", "gamma": 1e-3},
+    {"kind": "tabulated", "path": "table.csv"},
+])
+def test_crosscheck_zero_trips_single_record(tmp_path, friction):
+    (tmp_path / "table.csv").write_text("n,g\n0,0\n0.5,0.001\n")
+    cfg = write_config(tmp_path, friction=friction,
+                       run={"n_max": 0, "grid_n": 1024})
+    out = tmp_path / "out"
+    assert cli.main(["crosscheck", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "crosscheck_report.json").read_text())
+    assert [r["n"] for r in report["records"]] == [0]
+    assert report["max_l2_distance"] < 1e-6
+
+
 def test_crosscheck_numerical_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, run={"n_max": 5, "dn": 1, "grid_n": 16})
     out = tmp_path / "out"
