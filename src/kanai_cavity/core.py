@@ -285,9 +285,17 @@ class ClassicalSolution:
             self._t, self._phi = flow
 
     def _check_domain(self, arr):
-        if np.any(arr < 0.0):
+        limit = self.n_max * (1.0 + 1e-12)
+        if arr.ndim == 0:
+            # Scalar evaluations dominate kanai_propagate and moments;
+            # comparing a float skips two array reductions.
+            value = float(arr)
+            below, above = value < 0.0, value > limit
+        else:
+            below, above = np.any(arr < 0.0), np.any(arr > limit)
+        if below:
             raise DomainError("fundamental solutions are defined for n >= 0")
-        if np.any(arr > self.n_max * (1.0 + 1e-12)):
+        if above:
             raise DomainError(
                 "n = %s outside integrated range [0, %g]; re-integrate with a "
                 "larger n_max" % (np.max(arr), self.n_max))

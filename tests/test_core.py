@@ -253,6 +253,23 @@ def test_ode_requires_window_for_constant_friction():
         sol.u1(51.0)
 
 
+@pytest.mark.parametrize("method", ["closed_form", "ode"])
+def test_solution_domain_errors_alike_for_scalars_and_arrays(method):
+    params = OscillatorParams(1.0, FrictionProfile.constant(1e-3))
+    sol = fundamental_solutions(params, method=method, n_max=50.0)
+    outside = [-0.5] if method == "closed_form" else [-0.5, 51.0]
+    for value in outside:
+        messages = set()
+        for n in (value, np.float64(value), np.array(value),
+                  np.array([1.0, value])):
+            with pytest.raises(DomainError) as excinfo:
+                sol.du2(n)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+    # values inside the window, the end point included, evaluate alike
+    assert sol.u2(50.0) == sol.u2(np.array([0.0, 50.0]))[1]
+
+
 def test_closed_form_requires_constant_friction():
     friction = FrictionProfile.tabulated([0.0, 10.0], [0.0, 0.05])
     params = OscillatorParams(1.0, friction)
