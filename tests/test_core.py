@@ -266,8 +266,9 @@ def test_solution_domain_errors_alike_for_scalars_and_arrays(method):
                 sol.du2(n)
             messages.add(str(excinfo.value))
         assert len(messages) == 1
-    # values inside the window, the end point included, evaluate alike
-    assert sol.u2(50.0) == sol.u2(np.array([0.0, 50.0]))[1]
+    # values inside the window, both end points included, evaluate alike
+    for value in (0.0, 50.0):
+        assert sol.u2(value) == sol.u2(np.array([value]))[0]
 
 
 def test_closed_form_requires_constant_friction():
