@@ -226,6 +226,18 @@ def test_repeated_sampling_check_raises_as_on_fresh_field():
     assert str(again.value) == str(fresh.value)
 
 
+def test_sampling_check_counts_the_spectral_mean():
+    # with a = 0 only the field's spectrum counts; a tilt moves its mean to
+    # tilt / lambda, which adds to the spread the grid must resolve
+    field = eigen_field(64)
+    wavesim._check_chirp_sampling(field, 0.0, MATRIX0.b)
+    tilt = 0.7 * (0.5 / field.dx) * WAVELENGTH
+    tilted = sample_beam(GaussianBeam(EIGENBEAM.q, tilt=tilt), WAVELENGTH, 64)
+    assert tilted.dx == field.dx
+    with pytest.raises(SamplingError):
+        wavesim._check_chirp_sampling(tilted, 0.0, MATRIX0.b)
+
+
 @pytest.fixture
 def fft_count(monkeypatch):
     """Count the transforms wavesim makes through numpy.fft."""
