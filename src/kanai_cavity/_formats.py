@@ -19,23 +19,45 @@ def format_float(x):
     return "{:.16e}".format(float(x))
 
 
-def format_value(v):
-    """Render a CSV cell: ints verbatim, floats via :func:`format_float`."""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    return str(v)
+#: Rows joined per chunk, which bounds the cell lists alive at once.
+CSV_CHUNK_ROWS = 8192
 
 
-def csv_text(header, rows):
-    """Build the full text of a CSV file from a header list and row tuples."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _distinct_cells(column):
+    """Format each distinct value once; row i's text is ``cells[index[i]]``.
+
+    Floats are matched by bit pattern, keeping 0.0 and -0.0 (and NaN
+    payloads) apart; bools and integers are written as decimal ints.
+    """
+    if column.dtype.kind == "f":
+        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        template, values = "%.16e\n", distinct.view(np.float64).tolist()
+    else:
+        distinct, index = np.unique(column, return_inverse=True)
+        template, values = "%d\n", distinct.tolist()
+    cells = (template * len(values) % tuple(values)).split("\n")[:-1]
+    return np.array(cells, dtype=object), index
+
+
+def csv_text(header, columns):
+    """Build the full text of a CSV file from a header and 1-D columns.
+
+    Float cells carry the bytes of :func:`format_float`; bool and integer
+    cells are decimal ints.
+    """
+    columns = [np.asarray(col) for col in columns]
+    if (len(columns) != len(header) or any(col.ndim != 1 for col in columns)
+            or len({col.size for col in columns}) > 1):
+        raise ValueError("CSV needs one 1-D column per header name, "
+                         "all of equal length")
+    formatted = [_distinct_cells(col) for col in columns]
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, columns[0].size if columns else 0, CSV_CHUNK_ROWS):
+        chunk = [cells[index[lo:lo + CSV_CHUNK_ROWS]].tolist()
+                 for cells, index in formatted]
+        parts.append("\n".join(map(",".join, zip(*chunk))) + "\n")
+    return "".join(parts)
 
 
 def _dump_json(obj, indent):

@@ -196,9 +196,9 @@ def cmd_stability(cfg, out_dir, jobs):
 
     return {
         "stability_raster.csv": csv_text(
-            ["l1_over_f", "l2_over_f", "stable", "theta"], raster.rows()),
+            ["l1_over_f", "l2_over_f", "stable", "theta"], raster.columns()),
         "schedule_path.csv": csv_text(
-            ["n", "l1_over_f", "l2_over_f"], zip(n_values, path_l1, path_l2)),
+            ["n", "l1_over_f", "l2_over_f"], [n_values, path_l1, path_l2]),
     }
 
 
@@ -212,10 +212,9 @@ def cmd_schedule(cfg, out_dir, jobs):
     g_values = friction.evaluate(n_values)[0]
     l1, l2 = sched.positions_at(n_values)
     a, b, c = sched.elements_at(n_values)
-    rows = zip(g_values, l1, l2, a, b, c)
     return {"schedule.csv": csv_text(
         ["gamma_n", "l1_over_f", "l2_over_f", "a", "b_over_f", "c_times_f"],
-        rows)}
+        [g_values, l1, l2, a, b, c])}
 
 
 def cmd_ray(cfg, out_dir, jobs):
@@ -232,7 +231,8 @@ def cmd_ray(cfg, out_dir, jobs):
     trace = iterate_ray(sched, RayState(x0, xp0), run["n_max"])
     fit = fit_damped_oscillation(trace.n, trace.x)
     files = {
-        "ray_trace.csv": csv_text(["n", "x", "xp"], trace.rows()),
+        "ray_trace.csv": csv_text(["n", "x", "xp"],
+                                  [trace.n, trace.x, trace.xp]),
         "ray_fit.json": json_text(
             {"decay_rate": fit["decay_rate"], "period": fit["period"]}),
     }
@@ -258,7 +258,8 @@ def cmd_lissajous(cfg, out_dir, jobs):
     period = fit_damped_oscillation(trace.n, trace.x)["period"]
     files = {
         "lissajous_trace.csv": csv_text(
-            ["n", "x", "xp", "y", "yp"], trace.rows()),
+            ["n", "x", "xp", "y", "yp"],
+            [trace.n, trace.x, trace.xp, trace.y, trace.yp]),
         "lissajous_fit.json": json_text(
             {"decay_rate": -slope, "period": period}),
     }
@@ -292,10 +293,10 @@ def cmd_collapse(cfg, out_dir, jobs):
 
     files = {}
     for engine, trace in zip(engines, traces):
-        rows = zip(trace.n, trace.w1 / w0, trace.w2 / w0,
-                   trace.w1 * trace.w2 / (w0 * w0))
         files["collapse_%s.csv" % engine] = csv_text(
-            ["n", "w1_over_w0", "w2_over_w0", "product"], rows)
+            ["n", "w1_over_w0", "w2_over_w0", "product"],
+            [trace.n, trace.w1 / w0, trace.w2 / w0,
+             trace.w1 * trace.w2 / (w0 * w0)])
         if trace.truncated:
             print("warning: %s %s" % (engine, trace.diagnostic),
                   file=sys.stderr)

@@ -264,11 +264,11 @@ class StabilityMap:
         _, count = ndimage.label(interior, structure=structure)
         return count
 
-    def rows(self):
-        """Yield (l1/f, l2/f, stable, theta) rows, l1 outer, l2 inner."""
-        for i, s1 in enumerate(self.l1_values):
-            for j, s2 in enumerate(self.l2_values):
-                yield (s1, s2, int(self.stable[i, j]), self.theta[i, j])
+    def columns(self):
+        """Flat (l1/f, l2/f, stable, theta) columns, l1 outer, l2 inner."""
+        n1, n2 = self.l1_values.size, self.l2_values.size
+        return (np.repeat(self.l1_values, n2), np.tile(self.l2_values, n1),
+                self.stable.ravel(), self.theta.ravel())
 
 
 def stability_map(l1_range=(0.0, 4.0), l2_range=(0.0, 4.0), resolution=400):

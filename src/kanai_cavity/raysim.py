@@ -54,19 +54,6 @@ class RayTrace:
         self.yp = None if yp is None else np.asarray(yp, dtype=float)
         self.sched = sched
 
-    @property
-    def has_y(self):
-        return self.y is not None
-
-    def rows(self):
-        """Yield CSV rows (n, x, xp[, y, yp])."""
-        for i in range(self.n.size):
-            if self.has_y:
-                yield (int(self.n[i]), self.x[i], self.xp[i],
-                       self.y[i], self.yp[i])
-            else:
-                yield (int(self.n[i]), self.x[i], self.xp[i])
-
 
 def _trip_elements(sched, n_max):
     """(a, b, c) arrays for trips 0..n_max-1, sampled at each trip start."""
@@ -180,7 +167,7 @@ def pattern_radius(trace):
     damping schedule (the raw per-sample radius does not: the s ~ 3.35
     trips/period stroboscopic sampling aliases it).
     """
-    if not trace.has_y:
+    if trace.y is None:
         raise ValidationError("pattern radius needs a two-axis trace")
     sched = trace.sched
     if sched is None:

@@ -22,16 +22,15 @@ velocities obtained by inverting the Jacobian of (b, c) with respect to
 as a verification oracle.
 """
 
-import math
-
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.integrate import solve_ivp
 
 from .core import FrictionProfile
 from .errors import InvalidScheduleError, SingularJacobianError, ValidationError
-from .paraxial import (ResonatorGeometry, right_mirror_elements,
-                       round_trip_elements, round_trip_matrix, stability)
+from .paraxial import (ResonatorGeometry, half_trip_matrix,
+                       right_mirror_elements, round_trip_elements,
+                       round_trip_matrix, stability)
 
 
 class MirrorSchedule:
@@ -86,26 +85,24 @@ class MirrorSchedule:
         l1, l2 = self.positions_at(float(n))
         return self.geom0.with_positions(l1, l2)
 
+    def _frozen_a_and_scale(self, n):
+        """The constant element a (shaped like g(n)) and e^{g(n)}."""
+        g, _ = self.friction.evaluate(n)
+        a = self.a0 if np.isscalar(g) else np.full(np.shape(g), self.a0)
+        return a, np.exp(g)
+
     def elements_at(self, n):
         """Round-trip elements (a, b, c) at the left mirror; vectorized.
 
         Uses the exact exponential scaling b(0) e^{-g}, c(0) e^{+g}; this is
         algebraically identical to rebuilding the matrix at positions_at(n).
         """
-        g, _ = self.friction.evaluate(n)
-        eg = np.exp(g)
-        a = self.a0 * np.ones_like(np.asarray(g, dtype=float))
-        if np.isscalar(g):
-            a = self.a0
+        a, eg = self._frozen_a_and_scale(n)
         return a, self.b0 / eg, self.c0 * eg
 
     def right_elements_at(self, n):
         """Round-trip elements (a, b2, c2) at the right mirror; vectorized."""
-        g, _ = self.friction.evaluate(n)
-        eg = np.exp(g)
-        a = self.a0 * np.ones_like(np.asarray(g, dtype=float))
-        if np.isscalar(g):
-            a = self.a0
+        a, eg = self._frozen_a_and_scale(n)
         return a, self.right_b0 * eg, self.right_c0 / eg
 
     def matrix_at(self, n, plane="left_mirror"):
@@ -114,7 +111,6 @@ class MirrorSchedule:
 
     def half_matrix_at(self, n):
         """Half-trip matrix (left mirror to right mirror) at time n."""
-        from .paraxial import half_trip_matrix
         return half_trip_matrix(self.geometry_at(n))
 
     def csv_rows(self, n_values):
@@ -164,14 +160,13 @@ def integrate_schedule_ode(geom0, friction, n_max, dn, rtol=1e-10, atol=1e-12):
     """
     if n_max <= 0.0 or dn <= 0.0:
         raise ValidationError("n_max and dn must be positive")
-    sched = MirrorSchedule(geom0, friction)  # validates the initial state
+    MirrorSchedule(geom0, friction)  # validates the initial state
     n_values = np.arange(0.0, float(n_max) + 0.5 * dn, dn)
     rhs = _schedule_rhs_factory(friction, geom0.f)
     result = solve_ivp(rhs, (0.0, float(n_values[-1])), [geom0.l1, geom0.l2],
                        method="DOP853", t_eval=n_values, rtol=rtol, atol=atol)
     if not result.success:
         raise ValidationError("schedule ODE integration failed: %s" % result.message)
-    del sched
     return result.t, result.y[0], result.y[1]
 
 

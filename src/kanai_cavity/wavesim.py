@@ -22,7 +22,6 @@ a fundamental Gaussian equals the 1/e^2 intensity radius.
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .core import flow_products, magnus4_steps
 from .errors import (BeamParameterError, NearFocalPlaneError,
                      NearInstabilityError, ResolutionError, SamplingError,
                      ValidationError)
-from .paraxial import AbcdMatrix
+from .paraxial import AbcdMatrix, stability
 from .raysim import RayState, iterate_ray
 
 #: Fraction of f below which |b| counts as "at a focal plane" for the kernel.
@@ -180,7 +179,6 @@ class GaussianBeam:
 
 def eigenmode_beam(m):
     """Self-reproducing Gaussian of a stable canonical matrix: q = i sqrt(-b/c)."""
-    from .paraxial import stability
     info = stability(m)
     if not info.stable or info.marginal:
         raise ValidationError("eigenmode requires a strictly stable matrix")
@@ -516,12 +514,6 @@ class CollapseTrace:
     @property
     def truncated(self):
         return self.diagnostic is not None
-
-    def rows(self):
-        """Yield CSV rows (n, w1, w2, norm, centroid_x)."""
-        for i in range(self.n.size):
-            yield (int(self.n[i]), self.w1[i], self.w2[i],
-                   self.norm[i], self.centroid[i])
 
 
 def _centroid_ray(sched, beam, n_max):

@@ -218,8 +218,11 @@ def test_stability_map_validation():
 
 def test_stability_map_rows_order():
     res = stability_map((0.0, 1.0), (0.0, 1.0), 2)
-    rows = list(res.rows())
-    assert len(rows) == 4
-    assert rows[0][:2] == (0.0, 0.0)
-    assert rows[1][:2] == (0.0, 1.0)  # l2 is the inner loop
-    assert rows[2][:2] == (1.0, 0.0)
+    columns = res.columns()
+    l1, l2 = columns[:2]
+    assert [len(col) for col in columns] == [4, 4, 4, 4]
+    assert (l1[0], l2[0]) == (0.0, 0.0)
+    assert (l1[1], l2[1]) == (0.0, 1.0)  # l2 is the inner loop
+    assert (l1[2], l2[2]) == (1.0, 0.0)
+    np.testing.assert_array_equal(columns[2], res.stable.ravel())
+    np.testing.assert_array_equal(columns[3], res.theta.ravel())
