@@ -14,12 +14,18 @@ from kanai_cavity.paraxial import stability_map
 
 
 def reference_cell(v):
-    """The per-cell CSV formatter, kept as the oracle."""
+    """The per-cell formatter ``csv_text`` replaced, kept as the oracle.
+
+    It also takes ``np.bool_``, which its callers used to turn into an int
+    before the call.
+    """
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return "{:.16e}".format(float(v))
+    if isinstance(v, (float, np.floating)):
+        return "{:.16e}".format(float(v))
+    return str(v)
 
 
 def reference_csv_text(header, rows):
