@@ -18,7 +18,7 @@ scenarios from a JSON config.
 """
 
 from .core import (ClassicalSolution, FrictionProfile, OscillatorParams,
-                   fundamental_solutions, wronskian)
+                   fundamental_solutions)
 from .errors import (BeamParameterError, ContractViolationError, DomainError,
                      InvalidScheduleError, KanaiCavityError, MappingError,
                      NearCausticError, NearFocalPlaneError,
@@ -64,5 +64,5 @@ __all__ = [
     "pattern_radius", "phase_aligned_l2", "round_trip_elements",
     "round_trip_matrix", "run_collapse", "sample_beam",
     "save_field_snapshot", "split_step_round_trip", "spot_size", "stability",
-    "stability_map", "wronskian",
+    "stability_map",
 ]

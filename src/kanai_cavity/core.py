@@ -23,11 +23,11 @@ self-test.
 """
 
 import array
+import bisect
 import csv
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (DomainError, NumericalError, UnsupportedRegimeError,
                      ValidationError)
@@ -51,7 +51,9 @@ class FrictionProfile:
       every ``n >= 0``.
     * ``"tabulated"`` -- monotone (PCHIP) interpolation of samples
       ``(n_i, g_i)``; queries outside the tabulated range raise
-      :class:`DomainError`.
+      :class:`DomainError`.  The interpolant and its derivative are
+      bit-identical to scipy's ``PchipInterpolator`` and its
+      ``derivative()`` on the same samples (see :func:`_pchip_coefficients`).
 
     ``g`` must be nondecreasing with ``g(0) = 0``.  Instances are immutable
     and safe to share between threads.
@@ -68,8 +70,6 @@ class FrictionProfile:
             self.gamma = gamma
             self.n_max = math.inf
             self.nodes = None
-            self._interp = None
-            self._dinterp = None
         elif kind == "tabulated":
             n = np.asarray(n_samples, dtype=float)
             g = np.asarray(g_samples, dtype=float)
@@ -90,8 +90,10 @@ class FrictionProfile:
             self.gamma = None
             self.n_max = float(n[-1])
             self.nodes = n.copy()
-            self._interp = PchipInterpolator(n, g)
-            self._dinterp = self._interp.derivative()
+            self._coef = _pchip_coefficients(n, g)
+            # Python-float copies for the one-point path of evaluate().
+            self._node_list = n.tolist()
+            self._rows = self._coef.T.tolist()
         else:
             raise ValidationError("unknown friction kind %r" % (kind,))
         self.kind = kind
@@ -132,33 +134,106 @@ class FrictionProfile:
         Raises :class:`DomainError` for n < 0 or outside a tabulated range.
         """
         arr = np.asarray(n, dtype=float)
-        if np.any(arr < 0.0):
-            raise DomainError("friction profiles are defined for n >= 0")
+        scalar = np.isscalar(n) or (isinstance(n, np.ndarray) and n.ndim == 0)
         if self.kind == "constant":
+            self._check_domain(arr)
             g = self.gamma * arr
             gdot = np.full_like(arr, self.gamma)
+        elif arr.size == 1:
+            # The ODE branch queries one point at a time; Python floats do
+            # the same IEEE operations as the array path at a fraction of
+            # the cost.
+            g, gdot = self._evaluate_one(arr)
+            if scalar:
+                return g, gdot
+            return np.array(g, ndmin=arr.ndim), np.array(gdot, ndmin=arr.ndim)
         else:
-            if np.any(arr > self.n_max * (1.0 + 1e-12)):
-                raise DomainError(
-                    "n = %s outside tabulated friction range [0, %g]"
-                    % (np.max(arr), self.n_max))
-            arr = np.minimum(arr, self.n_max)
-            g = self._interp(arr)
-            gdot = self._dinterp(arr)
-        if np.isscalar(n) or (isinstance(n, np.ndarray) and n.ndim == 0):
+            self._check_domain(arr)
+            flat = np.minimum(arr, self.n_max).ravel()
+            # Interval k holds the query: the number of interior nodes <= n.
+            k = np.searchsorted(self.nodes[1:-1], flat, side="right")
+            g, gdot = _pchip_values(*self._coef.take(k, axis=1),
+                                    flat - self.nodes.take(k))
+            g, gdot = g.reshape(arr.shape), gdot.reshape(arr.shape)
+        if scalar:
             return float(g), float(gdot)
         return g, gdot
+
+    def _check_domain(self, arr):
+        if (arr < 0.0).any():
+            raise DomainError("friction profiles are defined for n >= 0")
+        if self.kind == "tabulated" and (arr > self.n_max * (1.0 + 1e-12)).any():
+            raise DomainError(
+                "n = %s outside tabulated friction range [0, %g]"
+                % (np.max(arr), self.n_max))
+
+    def _evaluate_one(self, arr):
+        """``(g, gdot)`` as floats at the single point held by ``arr``."""
+        x = arr.item()
+        if x < 0.0 or x > self.n_max * (1.0 + 1e-12):
+            self._check_domain(arr)
+        x = self.n_max if x > self.n_max else x
+        nodes = self._node_list
+        k = bisect.bisect_right(nodes, x, 1, len(nodes) - 1) - 1
+        return _pchip_values(*self._rows[k], x - nodes[k])
 
     def __repr__(self):
         if self.kind == "constant":
             return "FrictionProfile.constant(gamma=%g)" % self.gamma
         return "FrictionProfile.tabulated(<%d samples, n_max=%g>)" % (
-            len(self._interp.x), self.n_max)
+            self.nodes.size, self.n_max)
 
 
-def eval_friction(profile, n):
-    """Evaluate a friction profile: returns ``(g(n), gdot(n))``."""
-    return profile.evaluate(n)
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end derivative, kept monotone (Moler, sec. 3.6)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x, y):
+    """Cubic coefficients of the monotone PCHIP through ``(x, y)``.
+
+    Column k of the (4, K) result holds ``(c0, c1, c2, c3)`` of the cubic
+    ``c0 s^3 + c1 s^2 + c2 s + c3`` on ``[x_k, x_{k+1}]``, ``s = x - x_k``.
+    The node derivatives are the weighted harmonic means of Fritsch &
+    Carlson (SIAM J. Numer. Anal. 17, 238, 1980), zero where the secant
+    slopes change sign or vanish, with :func:`_pchip_end_slope` at both
+    ends; two nodes give a straight line.
+    Every operation, and its order, repeats scipy's ``PchipInterpolator``
+    and ``CubicHermiteSpline``, so the coefficients carry the same bits.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros(x.size)
+        hold = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                | (m[1:] == 0.0) | (m[:-1] == 0.0))
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][~hold] = 1.0 / whmean[~hold]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _pchip_values(c0, c1, c2, c3, s):
+    """``(g, gdot)`` of the cubic at offset ``s``, floats or arrays alike.
+
+    The terms are summed in the order of scipy's ``_ppoly.evaluate``,
+    starting from 0.0, so the sign of a zero result matches as well.
+    """
+    ss = s * s
+    return (0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s),
+            0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * ss)
 
 
 class OscillatorParams:
@@ -435,8 +510,3 @@ def fundamental_solutions(params, method="auto", n_max=None):
     raise NumericalError(
         "fundamental solutions did not converge at %d Magnus steps per trip "
         "(last change %.3g)" % (_START_STEPS << _MAX_HALVINGS, change))
-
-
-def wronskian(sol, n):
-    """Wronskian u1' u2 - u2' u1 of a ClassicalSolution at ``n``."""
-    return sol.wronskian(n)

@@ -15,7 +15,6 @@ length units and ``c`` inverse-length units.
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractViolationError, ValidationError
 
@@ -259,6 +258,9 @@ class StabilityMap:
         Strict interior |a| < 1 is used so that isolated marginal points on
         the |a| = 1 boundary cannot bridge two domains.
         """
+        # Imported here: only tests count domains, and the CLI never does.
+        from scipy import ndimage
+
         interior = np.abs(self.a_values) < 1.0
         structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
         _, count = ndimage.label(interior, structure=structure)

@@ -23,14 +23,15 @@ as a verification oracle.
 """
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.integrate import solve_ivp
 
 from .core import FrictionProfile
 from .errors import InvalidScheduleError, SingularJacobianError, ValidationError
 from .paraxial import (ResonatorGeometry, half_trip_matrix,
                        right_mirror_elements, round_trip_elements,
                        round_trip_matrix, stability)
+
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+SPEED_OF_LIGHT = 299792458.0
 
 
 class MirrorSchedule:
@@ -113,22 +114,6 @@ class MirrorSchedule:
         """Half-trip matrix (left mirror to right mirror) at time n."""
         return half_trip_matrix(self.geometry_at(n))
 
-    def csv_rows(self, n_values):
-        """Dump rows (n, g, l1/f, l2/f, a, b/f, c*f) for the given times."""
-        n_values = np.atleast_1d(np.asarray(n_values, dtype=float))
-        g, _ = self.friction.evaluate(n_values)
-        l1, l2 = self.positions_at(n_values)
-        a, b, c = self.elements_at(n_values)
-        f = self.geom0.f
-        for i in range(n_values.size):
-            yield (n_values[i], g[i], l1[i] / f, l2[i] / f, a[i],
-                   b[i] / f, c[i] * f)
-
-
-def positions_at(sched, n):
-    """Mirror positions (l1(n), l2(n)) of a schedule; vectorized over n."""
-    return sched.positions_at(n)
-
 
 def _schedule_rhs_factory(friction, f):
     def rhs(n, y):
@@ -158,6 +143,9 @@ def integrate_schedule_ode(geom0, friction, n_max, dn, rtol=1e-10, atol=1e-12):
     (b, c) with respect to (l1, l2); its solution must agree with the
     closed-form trajectories.  Returns (n_values, l1_values, l2_values).
     """
+    # Imported here: only this oracle needs scipy, and the CLI never calls it.
+    from scipy.integrate import solve_ivp
+
     if n_max <= 0.0 or dn <= 0.0:
         raise ValidationError("n_max and dn must be positive")
     MirrorSchedule(geom0, friction)  # validates the initial state

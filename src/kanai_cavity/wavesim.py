@@ -194,7 +194,8 @@ def sample_beam(beam, wavelength, n_samples=DEFAULT_GRID_N, dx=None,
 
     When ``dx`` is omitted the grid window is ``window_factor`` times the
     beam spot size.  The samples are normalized so the field norm equals the
-    beam amplitude.
+    beam amplitude.  A beam whose samples carry no finite power (centred
+    outside the window) raises :class:`ValidationError`.
     """
     n_samples = int(n_samples)
     if not _is_power_of_two(n_samples):
@@ -206,7 +207,12 @@ def sample_beam(beam, wavelength, n_samples=DEFAULT_GRID_N, dx=None,
     k = 2.0 * math.pi / wavelength
     psi = np.exp(-1j * math.pi * (x - beam.center) ** 2 / (wavelength * beam.q)
                  - 1j * k * beam.tilt * x)
-    psi *= beam.amplitude / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
+    norm_sq = float(np.sum(np.abs(psi) ** 2)) * dx
+    if not 0.0 < norm_sq < math.inf:
+        raise ValidationError(
+            "sampled beam has squared norm %r on the %d-point window; the "
+            "beam must lie inside the window" % (norm_sq, n_samples))
+    psi *= beam.amplitude / math.sqrt(norm_sq)
     return ComplexField(psi, dx, x[0], wavelength, plane_tag)
 
 

@@ -265,6 +265,22 @@ def test_crosscheck_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["collapse", "crosscheck"])
+def test_beam_outside_window_exits_2(tmp_path, capsys, command):
+    # 40 spot sizes off centre, the beam misses the sampled window entirely
+    cfg = write_config(tmp_path,
+                       run={"n_max": 5, "dn": 1, "engine": "fresnel",
+                            "grid_n": 256},
+                       collapse={"center_over_w1": 40},
+                       crosscheck={"center_over_w1": 40})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "beam must lie inside the window" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # plumbing: validation, determinism, formats, entry points
 
@@ -388,6 +404,17 @@ def _child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (import_root, env.get("PYTHONPATH")) if p)
     return env
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kanai_cavity.cli\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point(tmp_path):

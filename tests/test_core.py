@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 from kanai_cavity.core import (
     ClassicalSolution,
     FrictionProfile,
     OscillatorParams,
-    eval_friction,
     fundamental_solutions,
     magnus4_steps,
-    wronskian,
 )
 from kanai_cavity.errors import (
     DomainError,
@@ -29,8 +28,8 @@ from kanai_cavity.errors import (
 
 def test_constant_friction_values():
     prof = FrictionProfile.constant(1e-3)
-    assert eval_friction(prof, 0.0) == (0.0, 1e-3)
-    g, gdot = eval_friction(prof, 2.0)
+    assert prof.evaluate(0.0) == (0.0, 1e-3)
+    g, gdot = prof.evaluate(2.0)
     assert abs(g - 2e-3) < 1e-18
     assert gdot == 1e-3
 
@@ -72,6 +71,103 @@ def test_tabulated_domain_errors():
     # the right endpoint itself is inside the domain
     g, _ = prof.evaluate(10.0)
     assert abs(g - 0.1) < 1e-15
+
+
+#: Random tables compared bit for bit with scipy's PCHIP.
+PCHIP_TABLES = 240
+
+
+def _random_table(rng, index):
+    """Seeded monotone table of 2-60 nodes; a third hold flat stretches."""
+    size = int(rng.integers(2, 61))
+    n = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 12.0, size - 1))))
+    steps = rng.uniform(0.0, 0.02, size - 1) * rng.choice(
+        [1e-3, 1.0, 10.0], size - 1)
+    if index % 3 == 0:
+        steps[rng.random(size - 1) < 0.4] = 0.0
+        steps[rng.integers(size - 1)] = 0.0
+    if index % 5 == 0:
+        # dips the validation tolerates flip the sign of a secant slope
+        dips = rng.random(size - 1) < 0.3
+        steps[dips] = -rng.uniform(0.0, 9e-13, int(dips.sum()))
+    # g(0) = -0.0 shows whether a sum starts from +0.0 as scipy's does
+    start = -0.0 if index % 4 == 1 else 0.0
+    return n, np.concatenate(([start], np.cumsum(steps)))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_tabulated_profile_is_bit_identical_to_scipy_pchip():
+    rng = np.random.default_rng(20261018)
+    flat_tables = 0
+    for index in range(PCHIP_TABLES):
+        n, g = _random_table(rng, index)
+        flat_tables += bool(np.any(np.diff(g) == 0.0))
+        prof = FrictionProfile.tabulated(n, g)
+        ref = PchipInterpolator(n, g)
+        dref = ref.derivative()
+        n_max = n[-1]
+        x = np.concatenate((n, rng.uniform(0.0, n_max, 50),
+                            np.arange(0.0, n_max, 0.125), [-0.0]))
+        want_g, want_gdot = _bits(ref(x)), _bits(dref(x))
+        # 1-D and 2-D arrays
+        g_x, gdot_x = prof.evaluate(x)
+        assert np.array_equal(_bits(g_x), want_g), index
+        assert np.array_equal(_bits(gdot_x), want_gdot), index
+        g_x, gdot_x = prof.evaluate(np.stack((x, x[::-1])))
+        assert np.array_equal(_bits(g_x), np.stack((want_g, want_g[::-1])))
+        assert np.array_equal(_bits(gdot_x),
+                              np.stack((want_gdot, want_gdot[::-1])))
+        # one-element queries: every node, random points, grid points and -0.0
+        picks = np.concatenate((np.arange(n.size),
+                                rng.integers(n.size, x.size, 30), [-1]))
+        for i in picks:
+            value = float(x[i])
+            for form in (value, np.array(value)):
+                g_1, gdot_1 = prof.evaluate(form)
+                assert type(g_1) is float and type(gdot_1) is float
+                assert _bits(g_1) == want_g[i] and _bits(gdot_1) == want_gdot[i]
+            g_1, gdot_1 = prof.evaluate(np.array([value]))
+            assert g_1.shape == (1,) and gdot_1.shape == (1,)
+            assert _bits(g_1)[0] == want_g[i]
+            assert _bits(gdot_1)[0] == want_gdot[i]
+        # just past the end is clamped onto the last node
+        past = n_max * (1.0 + 5e-13)
+        assert _bits(prof.evaluate(past)[0]) == _bits(ref(n_max))
+        assert _bits(prof.evaluate(np.array([past, 0.0]))[1][0]) == \
+            _bits(dref(n_max))
+    assert flat_tables >= 0.2 * PCHIP_TABLES
+
+
+_INPUT_FORMS = [
+    pytest.param(lambda v: v, id="float"),
+    pytest.param(lambda v: np.array(v), id="0d"),
+    pytest.param(lambda v: np.array([v]), id="1-element"),
+    pytest.param(lambda v: np.array([1.0, v]), id="1d"),
+    pytest.param(lambda v: np.array([[1.0], [v]]), id="2d"),
+]
+
+
+@pytest.mark.parametrize("form", _INPUT_FORMS)
+def test_friction_domain_messages_for_every_input_form(form):
+    table = FrictionProfile.tabulated([0.0, 4.0, 10.0], [0.0, 0.01, 0.03])
+    below = "friction profiles are defined for n >= 0"
+    for prof in (table, FrictionProfile.constant(1e-3)):
+        for value in (-0.5, -math.inf):
+            with pytest.raises(DomainError) as err:
+                prof.evaluate(form(value))
+            assert str(err.value) == below
+    for value, shown in ((12.5, "12.5"), (1e20, "1e+20"),
+                         (10.0 + 1e-9, "10.000000001"), (math.inf, "inf")):
+        with pytest.raises(DomainError) as err:
+            table.evaluate(form(value))
+        assert str(err.value) == (
+            "n = %s outside tabulated friction range [0, 10]" % shown)
+    # NaN passes the domain checks and comes back as NaN
+    g, gdot = table.evaluate(form(math.nan))
+    assert np.isnan(g).any() and np.isnan(gdot).any()
 
 
 def test_tabulated_validation():
@@ -179,7 +275,8 @@ def test_wronskian_matches_damping_exponent():
     assert abs(sol.wronskian(1000.0) - math.exp(-1.0)) < 1e-9
     n = np.linspace(0.0, 3000.0, 600)
     assert np.max(np.abs(sol.wronskian(n) - np.exp(-gamma * n))) < 1e-9
-    assert abs(wronskian(sol, 500.0) - sol.wronskian(500.0)) == 0.0
+    assert sol.wronskian(500.0) == (sol.du1(500.0) * sol.u2(500.0)
+                                    - sol.du2(500.0) * sol.u1(500.0))
 
 
 def test_decay_envelope_bound():

@@ -1,19 +1,21 @@
 """Tests for the adiabatic mirror-motion schedule."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from kanai_cavity import cli
 from kanai_cavity.core import FrictionProfile
 from kanai_cavity.errors import InvalidScheduleError, ValidationError
 from kanai_cavity.paraxial import ResonatorGeometry, round_trip_matrix
 from kanai_cavity.schedule import (
+    SPEED_OF_LIGHT as SCHEDULE_SPEED_OF_LIGHT,
     MirrorSchedule,
     integrate_schedule_ode,
     mirror_speed_estimate,
-    positions_at,
 )
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
@@ -107,15 +109,23 @@ def test_schedule_validation():
         MirrorSchedule(GEOM0, "not a profile")
 
 
-def test_csv_rows_shape():
-    sched = make_schedule(1e-2)
-    rows = list(sched.csv_rows(np.arange(0.0, 5.0)))
-    assert len(rows) == 5
-    n0 = rows[0]
-    assert n0[0] == 0.0 and n0[1] == 0.0
-    assert abs(n0[2] - 1.7) < 1e-12 and abs(n0[3] - 1.5) < 1e-12
-    assert abs(n0[4] + 0.30) < 1e-12
-    assert abs(n0[5] + 0.91) < 1e-12 and abs(n0[6] - 1.0) < 1e-12
+def test_csv_rows_shape(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "geometry": {"l1_over_f": 1.7, "l2_over_f": 1.5},
+        "friction": {"kind": "constant", "gamma": 1e-2},
+        "run": {"n_max": 4, "dn": 1}}))
+    out = tmp_path / "out"
+    assert cli.main(["schedule", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "schedule.csv").read_text().splitlines()
+    assert lines[0] == "gamma_n,l1_over_f,l2_over_f,a,b_over_f,c_times_f"
+    assert len(lines) == 1 + 5
+    n0 = [float(v) for v in lines[1].split(",")]
+    assert n0[0] == 0.0
+    assert abs(n0[1] - 1.7) < 1e-12 and abs(n0[2] - 1.5) < 1e-12
+    assert abs(n0[3] + 0.30) < 1e-12
+    assert abs(n0[4] + 0.91) < 1e-12 and abs(n0[5] - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +151,7 @@ def test_stationary_profile_keeps_positions():
 def test_path_stays_strictly_stable():
     sched = make_schedule(1e-3)
     n = np.linspace(0.0, 2000.0, 200)
-    l1, l2 = positions_at(sched, n)
+    l1, l2 = sched.positions_at(n)
     from kanai_cavity.paraxial import round_trip_elements
     a, _, _ = round_trip_elements(l1, l2)
     assert np.all(np.abs(a) < 1.0)
@@ -151,6 +161,10 @@ def test_path_stays_strictly_stable():
 
 # ---------------------------------------------------------------------------
 # physical mirror speed
+
+
+def test_speed_of_light_is_the_si_value():
+    assert SCHEDULE_SPEED_OF_LIGHT == SPEED_OF_LIGHT == 299792458.0
 
 
 def test_mirror_speed_initial_value():
