@@ -189,3 +189,108 @@ def test_fit_requires_enough_structure():
     n = np.arange(5, dtype=float)
     with pytest.raises(ValidationError):
         fit_damped_oscillation(n, np.ones(5))
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracle: the per-trip loops the ray traces were written with
+
+
+def reference_elements(sched, n_max):
+    a, b, c = sched.elements_at(np.arange(n_max, dtype=float))
+    return np.broadcast_to(a, b.shape).tolist(), b.tolist(), c.tolist()
+
+
+def reference_ray(sched, x0, xp0, n_max):
+    a_list, b_list, c_list = reference_elements(sched, n_max)
+    x, xp = [x0], [xp0]
+    xc, xpc = x0, xp0
+    for k in range(n_max):
+        a, b, c = a_list[k], b_list[k], c_list[k]
+        xc, xpc = a * xc + b * xpc, c * xc + a * xpc
+        x.append(xc)
+        xp.append(xpc)
+    return x, xp
+
+
+def reference_lissajous(sched, init2d, n_max):
+    x0, xp0, y0, yp0 = (float(v) for v in init2d)
+    x, xp = reference_ray(sched, x0, xp0, n_max)
+    y, yp = reference_ray(sched, y0, yp0, n_max)
+    return x, xp, y, yp
+
+
+def float_bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def random_start(rng):
+    """One start value: ordinary, a signed zero, tiny, or huge."""
+    kind = rng.integers(6)
+    sign = rng.choice((-1.0, 1.0))
+    if kind == 0:
+        return sign * 0.0
+    if kind == 1:
+        return sign * rng.uniform(0.5, 2.0) * 1e-300
+    if kind == 2:
+        return sign * 5e-324
+    if kind == 3:
+        return sign * rng.uniform(0.5, 2.0) * 1e200
+    if kind == 4:
+        return sign * rng.uniform(0.5, 1.7) * 1e308
+    return rng.uniform(-2.0, 2.0)
+
+
+def random_schedule(rng, seed, n_max):
+    """A strictly stable upper-domain schedule with seeded friction.
+
+    Every third seed is tabulated (with flat stretches); the others are
+    constant, gamma = 0 on every fifth seed and gamma = 1 (so e^{g}
+    overflows within a thousand trips) on every seventh.
+    """
+    theta = rng.uniform(0.2, 3.0)
+    h = (1.0 - math.cos(theta)) / 2.0
+    s2 = rng.uniform(1.05, 3.0)
+    f = rng.choice((1.0, 0.37, 12.5))
+    geom = ResonatorGeometry(f * (s2 - h) / (s2 - 1.0), f * s2, f)
+    if seed % 3 == 0:
+        step = float(rng.integers(1, 60))
+        count = max(2, int(math.ceil(n_max / step)) + 2)
+        rises = rng.uniform(0.0, 2e-3, count - 1) * step
+        rises[rng.random(count - 1) < 0.2] = 0.0
+        nodes = np.arange(count) * step
+        friction = FrictionProfile.tabulated(
+            nodes, np.concatenate(([0.0], np.cumsum(rises))))
+    elif seed % 5 == 0:
+        friction = FrictionProfile.constant(0.0)
+    elif seed % 7 == 0:
+        friction = FrictionProfile.constant(1.0)
+    else:
+        friction = FrictionProfile.constant(10.0 ** rng.uniform(-6.0, -1.0))
+    return MirrorSchedule(geom, friction)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_ray_traces_match_the_per_trip_loops_bit_for_bit(block):
+    """iterate_ray and lissajous against the reference loops on 240 seeded
+    schedules (60 per block): n_max from 1 to 4000, starts from +-0.0 to
+    overflow, every float64 bit pattern of x, x', y and y' compared."""
+    with np.errstate(all="ignore"):
+        for seed in range(60 * block, 60 * (block + 1)):
+            rng = np.random.default_rng(seed)
+            n_max = int(rng.choice(
+                (1, 2, 3, rng.integers(4, 200), rng.integers(200, 4001))))
+            sched = random_schedule(rng, seed, n_max)
+            init = [random_start(rng) for _ in range(4)]
+
+            trace = iterate_ray(sched, RayState(init[0], init[1]), n_max)
+            x, xp = reference_ray(sched, init[0], init[1], n_max)
+            assert np.array_equal(trace.n, np.arange(n_max + 1)), seed
+            assert np.array_equal(float_bits(trace.x), float_bits(x)), seed
+            assert np.array_equal(float_bits(trace.xp), float_bits(xp)), seed
+
+            trace = lissajous(sched, init, n_max)
+            expected = reference_lissajous(sched, init, n_max)
+            got = (trace.x, trace.xp, trace.y, trace.yp)
+            assert np.array_equal(trace.n, np.arange(n_max + 1)), seed
+            for axis, ref in zip(got, expected):
+                assert np.array_equal(float_bits(axis), float_bits(ref)), seed
