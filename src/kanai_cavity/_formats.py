@@ -8,10 +8,13 @@ file behind.
 """
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 def format_float(x):
@@ -82,6 +85,8 @@ def _dump_json(obj, indent):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NumericalError("cannot write %r to JSON" % float(obj))
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -89,7 +94,8 @@ def _dump_json(obj, indent):
 
 
 def json_text(obj):
-    """Serialize dicts/lists/scalars to JSON with deterministic floats."""
+    """Serialize dicts/lists/scalars to JSON with deterministic floats;
+    a non-finite float, which strict JSON cannot hold, raises NumericalError."""
     return _dump_json(obj, 0) + "\n"
 
 

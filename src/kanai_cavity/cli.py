@@ -6,17 +6,19 @@ Commands::
     kanai-cavity schedule   --config cfg.json [--out DIR]
     kanai-cavity ray        --config cfg.json [--out DIR]
     kanai-cavity lissajous  --config cfg.json [--out DIR]
-    kanai-cavity collapse   --config cfg.json [--out DIR] [--jobs N]
+    kanai-cavity collapse   --config cfg.json [--out DIR]
     kanai-cavity crosscheck --config cfg.json [--out DIR]
 
+Every command also accepts ``--jobs N`` (N >= 1), which has no effect.
 Exit codes: 0 success, 2 validation error (bad config, bad domain), 3
-numerical failure (singular kernel, aliasing, caustic, ...).
+numerical failure (singular kernel, aliasing, caustic, non-finite data).
 
 The config is a single JSON document with a ``schema_version`` field; see
 the README for the full schema.  Outputs are deterministic: floats are
 written with 17 significant digits in lowercase scientific notation and
 every file is written to a temp file and atomically renamed, so a failed
-run leaves no partial data files.
+run leaves no partial data files.  Every data value is finite except
+theta = nan for the unstable cells of the stability raster.
 """
 
 import argparse
@@ -24,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -169,8 +170,21 @@ def _formats(cfg):
     return set(formats)
 
 
-def _write(out_dir, filename, text):
-    atomic_write_text(os.path.join(out_dir, filename), text)
+def _setup(cfg):
+    """Schedule, wavelength and run options shared by every command."""
+    geom, wavelength = _build_geometry(cfg)
+    friction = _build_friction(cfg, cfg["_config_dir"])
+    run = _run_section(cfg)
+    return MirrorSchedule(geom, friction), wavelength, run
+
+
+def _data_csv(filename, header, columns, nan_column=None):
+    """CSV text whose values must be finite, except NaN in ``nan_column``."""
+    for name, column in zip(header, columns):
+        if name != nan_column and not np.all(np.isfinite(column)):
+            raise NumericalError("%s: column %s is not finite"
+                                 % (filename, name))
+    return csv_text(header, columns)
 
 
 def _sample_times(n_max, dn):
@@ -178,72 +192,63 @@ def _sample_times(n_max, dn):
     return np.arange(count) * dn
 
 
-def cmd_stability(cfg, out_dir, jobs):
+def cmd_stability(cfg):
     """Stability raster over (L1/f, L2/f) plus the schedule path overlay."""
     st = _section(cfg, "stability")
     resolution = _number(st, "stability", "resolution", default=400,
                          minimum=1, integer=True)
     l1_lo, l1_hi = _pair(st, "stability", "l1_range", (0.0, 4.0))
     l2_lo, l2_hi = _pair(st, "stability", "l2_range", (0.0, 4.0))
-    geom, _ = _build_geometry(cfg)
-    friction = _build_friction(cfg, cfg["_config_dir"])
-    run = _run_section(cfg)
+    sched, _, run = _setup(cfg)
     raster = stability_map((l1_lo, l1_hi), (l2_lo, l2_hi), resolution)
-
-    sched = MirrorSchedule(geom, friction)
     n_values = _sample_times(run["n_max"], run["dn"])
     path_l1, path_l2 = sched.positions_at(n_values)
-
     return {
-        "stability_raster.csv": csv_text(
-            ["l1_over_f", "l2_over_f", "stable", "theta"], raster.columns()),
-        "schedule_path.csv": csv_text(
-            ["n", "l1_over_f", "l2_over_f"], [n_values, path_l1, path_l2]),
+        "stability_raster.csv": _data_csv(
+            "stability_raster.csv",
+            ["l1_over_f", "l2_over_f", "stable", "theta"], raster.columns(),
+            nan_column="theta"),
+        "schedule_path.csv": _data_csv(
+            "schedule_path.csv", ["n", "l1_over_f", "l2_over_f"],
+            [n_values, path_l1, path_l2]),
     }
 
 
-def cmd_schedule(cfg, out_dir, jobs):
+def cmd_schedule(cfg):
     """Mirror positions and matrix elements along the damping schedule."""
-    geom, _ = _build_geometry(cfg)
-    friction = _build_friction(cfg, cfg["_config_dir"])
-    run = _run_section(cfg)
-    sched = MirrorSchedule(geom, friction)
+    sched, _, run = _setup(cfg)
     n_values = _sample_times(run["n_max"], run["dn"])
-    g_values = friction.evaluate(n_values)[0]
+    g_values = sched.friction.evaluate(n_values)[0]
     l1, l2 = sched.positions_at(n_values)
     a, b, c = sched.elements_at(n_values)
-    return {"schedule.csv": csv_text(
+    return {"schedule.csv": _data_csv(
+        "schedule.csv",
         ["gamma_n", "l1_over_f", "l2_over_f", "a", "b_over_f", "c_times_f"],
         [g_values, l1, l2, a, b, c])}
 
 
-def cmd_ray(cfg, out_dir, jobs):
+def cmd_ray(cfg):
     """Single-ray trace and fitted decay/period."""
-    geom, _ = _build_geometry(cfg)
-    friction = _build_friction(cfg, cfg["_config_dir"])
-    run = _run_section(cfg)
+    sched, _, run = _setup(cfg)
     ray = _section(cfg, "ray")
     x0 = _number(ray, "ray", "x0", default=1.0)
     xp0 = _number(ray, "ray", "xp0", default=0.0)
     if run["n_max"] < 1:
         _fail("run.n_max must be >= 1 for the ray command")
-    sched = MirrorSchedule(geom, friction)
     trace = iterate_ray(sched, RayState(x0, xp0), run["n_max"])
+    trace_csv = _data_csv("ray_trace.csv", ["n", "x", "xp"],
+                          [trace.n, trace.x, trace.xp])
     fit = fit_damped_oscillation(trace.n, trace.x)
-    files = {
-        "ray_trace.csv": csv_text(["n", "x", "xp"],
-                                  [trace.n, trace.x, trace.xp]),
+    return {
+        "ray_trace.csv": trace_csv,
         "ray_fit.json": json_text(
             {"decay_rate": fit["decay_rate"], "period": fit["period"]}),
     }
-    return files
 
 
-def cmd_lissajous(cfg, out_dir, jobs):
+def cmd_lissajous(cfg):
     """Two-axis ray trace, contracting pattern radius, fitted envelope."""
-    geom, _ = _build_geometry(cfg)
-    friction = _build_friction(cfg, cfg["_config_dir"])
-    run = _run_section(cfg)
+    sched, _, run = _setup(cfg)
     li = _section(cfg, "lissajous")
     init = (_number(li, "lissajous", "x0", default=1.0),
             _number(li, "lissajous", "xp0", default=0.0),
@@ -251,50 +256,40 @@ def cmd_lissajous(cfg, out_dir, jobs):
             _number(li, "lissajous", "yp0", default=0.5))
     if run["n_max"] < 1:
         _fail("run.n_max must be >= 1 for the lissajous command")
-    sched = MirrorSchedule(geom, friction)
     trace = lissajous(sched, init, run["n_max"])
+    trace_csv = _data_csv(
+        "lissajous_trace.csv", ["n", "x", "xp", "y", "yp"],
+        [trace.n, trace.x, trace.xp, trace.y, trace.yp])
     radius = pattern_radius(trace)
     slope = fit_envelope_rate(trace.n, radius)
     period = fit_damped_oscillation(trace.n, trace.x)["period"]
-    files = {
-        "lissajous_trace.csv": csv_text(
-            ["n", "x", "xp", "y", "yp"],
-            [trace.n, trace.x, trace.xp, trace.y, trace.yp]),
+    return {
+        "lissajous_trace.csv": trace_csv,
         "lissajous_fit.json": json_text(
             {"decay_rate": -slope, "period": period}),
     }
-    return files
 
 
-def cmd_collapse(cfg, out_dir, jobs):
+def cmd_collapse(cfg):
     """Spot-size collapse traces, one CSV per engine, normalized to w0."""
-    geom, wavelength = _build_geometry(cfg)
-    friction = _build_friction(cfg, cfg["_config_dir"])
-    run = _run_section(cfg)
+    sched, wavelength, run = _setup(cfg)
     co = _section(cfg, "collapse")
     center_over_w1 = _number(co, "collapse", "center_over_w1", default=0.0)
-    sched = MirrorSchedule(geom, friction)
-    beam0 = eigenmode_beam(round_trip_matrix(geom))
+    beam0 = eigenmode_beam(round_trip_matrix(sched.geom0))
     w1_0 = beam0.spot_size(wavelength)
     beam = GaussianBeam(beam0.q, center=center_over_w1 * w1_0)
     w0 = math.sqrt(wavelength / math.pi)
-
-    def one(engine):
-        return run_collapse(sched, beam, run["n_max"], engine,
-                            wavelength=wavelength, grid_n=run["grid_n"],
-                            window_factor=run["window_factor"])
-
     engines = run["engines"]
-    if jobs > 1 and len(engines) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(engines))) as pool:
-            traces = list(pool.map(one, engines))
-    else:
-        traces = [one(engine) for engine in engines]
+    traces = [run_collapse(sched, beam, run["n_max"], engine,
+                           wavelength=wavelength, grid_n=run["grid_n"],
+                           window_factor=run["window_factor"])
+              for engine in engines]
 
     files = {}
     for engine, trace in zip(engines, traces):
-        files["collapse_%s.csv" % engine] = csv_text(
-            ["n", "w1_over_w0", "w2_over_w0", "product"],
+        filename = "collapse_%s.csv" % engine
+        files[filename] = _data_csv(
+            filename, ["n", "w1_over_w0", "w2_over_w0", "product"],
             [trace.n, trace.w1 / w0, trace.w2 / w0,
              trace.w1 * trace.w2 / (w0 * w0)])
         if trace.truncated:
@@ -302,21 +297,16 @@ def cmd_collapse(cfg, out_dir, jobs):
                   file=sys.stderr)
     if len(engines) > 1:
         common = min(trace.n.size for trace in traces)
-        if common:
-            w1_stack = np.vstack([trace.w1[:common] for trace in traces])
-            w2_stack = np.vstack([trace.w2[:common] for trace in traces])
-            spread1 = w1_stack.max(axis=0) - w1_stack.min(axis=0)
-            spread2 = w2_stack.max(axis=0) - w2_stack.min(axis=0)
-            rel1 = float(np.max(spread1 / w1_stack.mean(axis=0)))
-            rel2 = float(np.max(spread2 / w2_stack.mean(axis=0)))
-        else:
-            rel1 = rel2 = float("nan")
+        rel = [None, None]
+        for i, width in enumerate(("w1", "w2")) if common else ():
+            stack = np.vstack([getattr(t, width)[:common] for t in traces])
+            rel[i] = float(np.max(np.ptp(stack, axis=0) / stack.mean(axis=0)))
         report = {
             "schema_version": SCHEMA_VERSION,
             "engines": list(engines),
             "common_trips": int(common),
-            "max_w1_rel_spread": rel1,
-            "max_w2_rel_spread": rel2,
+            "max_w1_rel_spread": rel[0],
+            "max_w2_rel_spread": rel[1],
             "diagnostics": {engine: trace.diagnostic
                             for engine, trace in zip(engines, traces)
                             if trace.truncated},
@@ -325,18 +315,16 @@ def cmd_collapse(cfg, out_dir, jobs):
     return files
 
 
-def cmd_crosscheck(cfg, out_dir, jobs):
+def cmd_crosscheck(cfg):
     """Analytic propagator vs diffraction engine report."""
-    geom, wavelength = _build_geometry(cfg)
-    friction = _build_friction(cfg, cfg["_config_dir"])
-    run = _run_section(cfg)
+    sched, wavelength, run = _setup(cfg)
+    geom = sched.geom0
     cc = _section(cfg, "crosscheck")
     center_over_w1 = _number(cc, "crosscheck", "center_over_w1", default=1.0)
     tilt = _number(cc, "crosscheck", "tilt", default=0.0)
     width_scale = _number(cc, "crosscheck", "width_scale", default=1.0)
     if width_scale <= 0.0:
         _fail("crosscheck.width_scale must be > 0")
-    sched = MirrorSchedule(geom, friction)
     w1_0 = eigenmode_beam(round_trip_matrix(geom)).spot_size(wavelength)
     records = crosscheck_engines(
         geom, wavelength, sched, run["n_max"],
@@ -374,7 +362,7 @@ def main(argv=None):
                          help="output directory (default: outputs.directory "
                               "from the config, else the working directory)")
         cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for collapse engines")
+                         help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -386,14 +374,17 @@ def main(argv=None):
         out_dir = args.out or _section(cfg, "outputs").get("directory") or "."
         if not isinstance(out_dir, str):
             _fail("outputs.directory must be a string")
-        files = _COMMANDS[args.command](cfg, out_dir, args.jobs)
+        # Non-finite data exits 3 with one message; numpy's overflow and
+        # invalid-value warnings would only repeat it on stderr.
+        with np.errstate(all="ignore"):
+            files = _COMMANDS[args.command](cfg)
         os.makedirs(out_dir, exist_ok=True)
         for filename, text in sorted(files.items()):
             if filename.endswith(".csv") and "csv" not in formats:
                 continue
             if filename.endswith(".json") and "json" not in formats:
                 continue
-            _write(out_dir, filename, text)
+            atomic_write_text(os.path.join(out_dir, filename), text)
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

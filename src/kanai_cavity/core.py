@@ -305,17 +305,20 @@ def magnus4_steps(start, h, generator, scale=1.0):
     return ch + a * shs, b * shs, c * shs, ch - a * shs
 
 
-def flow_products(steps):
+def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0)):
     """Running products of 2x2 step matrices, applied in step order.
 
     ``steps`` holds the entries ``(e11, e12, e21, e22)`` of the step
     matrices E_0 ... E_{K-1} as arrays.  Returns a (K+1, 4) array whose row
-    k holds the entries (p11, p12, p21, p22) of E_{k-1} ... E_0; row 0 is
-    the identity.  The products are formed one step at a time in scalar
+    k holds the entries (p11, p12, p21, p22) of E_{k-1} ... E_0 S, where
+    ``start`` holds the entries of S (by default the identity) and is row
+    0.  Each column of S is a state vector carried through the flow, so
+    ``start = (x, y, x', y')`` traces two states (x, x') and (y, y') at
+    once.  The products are formed one step at a time in scalar
     arithmetic, so their rounding does not depend on how the step matrices
     were computed.
     """
-    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    p11, p12, p21, p22 = (float(p) for p in start)
     out = array.array("d", (p11, p12, p21, p22))
     for e11, e12, e21, e22 in zip(*(e.tolist() for e in steps)):
         p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,

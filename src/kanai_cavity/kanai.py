@@ -16,8 +16,9 @@ phi_XX.  The cavity realizes the same equation with
     hbar_eff = 1/k,   m_eff = (1/theta) sqrt(-c(0)/b(0)),   omega = theta,
 
 and t measured in round trips, which this module makes available as a
-parameter map plus a three-way engine cross-check (analytic propagator,
-diffraction round trips, ray trace).
+parameter map plus an engine cross-check (analytic propagator against
+diffraction round trips; :func:`raysim.iterate_ray` gives the third,
+ray-optics centroid).
 """
 
 import math
@@ -27,7 +28,6 @@ import numpy as np
 from .core import OscillatorParams, fundamental_solutions
 from .errors import MappingError, NearCausticError, ValidationError
 from .paraxial import AbcdMatrix, round_trip_matrix, stability
-from .raysim import RayState, iterate_ray
 from .wavesim import (ComplexField, GaussianBeam, fresnel_round_trip,
                       phase_aligned_l2, sample_beam, spot_size)
 
@@ -242,11 +242,3 @@ def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
         m = AbcdMatrix(a_arr[n], b_arr[n], c_arr[n], a_arr[n])
         field = fresnel_round_trip(field, m)
     return records
-
-
-def crosscheck_ray_centroid(sched, center, tilt, n_max):
-    """Reference centroid from the ray engine for a displaced beam."""
-    if n_max == 0:
-        return np.array([float(center)])
-    trace = iterate_ray(sched, RayState(center, tilt), int(n_max))
-    return trace.x

@@ -39,13 +39,6 @@ class AbcdMatrix:
     def identity(cls):
         return cls(1.0, 0.0, 0.0, 1.0)
 
-    @classmethod
-    def from_array(cls, m):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValidationError("ray matrix must be 2x2")
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
     def as_array(self):
         return np.array([[self.a, self.b], [self.c, self.d]])
 
@@ -65,10 +58,6 @@ class AbcdMatrix:
     def __matmul__(self, other):
         return self.compose(other)
 
-    def apply(self, x, xp):
-        """Map a ray state (x, x'); vectorized over arrays."""
-        return self.a * x + self.b * xp, self.c * x + self.d * xp
-
     def is_canonical(self, tol=CANONICAL_TOL):
         """True when a = d within ``tol`` (flat-end-mirror round trip)."""
         return abs(self.a - self.d) <= tol
@@ -77,39 +66,23 @@ class AbcdMatrix:
         return "AbcdMatrix(a=%r, b=%r, c=%r, d=%r)" % (self.a, self.b, self.c, self.d)
 
 
-def elementary(kind, value=None):
-    """Elementary paraxial element matrix.
-
-    ``kind`` is one of ``"propagation"`` (value = distance d >= 0),
-    ``"thin_lens"`` (value = focal length f != 0), or ``"flat_mirror"``
-    (no value; identity in the transverse plane).
-    """
-    if kind == "propagation":
-        if value is None or value < 0.0:
-            raise ValidationError("propagation distance must be >= 0")
-        return AbcdMatrix(1.0, float(value), 0.0, 1.0)
-    if kind == "thin_lens":
-        if value is None or value == 0.0:
-            raise ValidationError("thin lens requires a nonzero focal length")
-        return AbcdMatrix(1.0, 0.0, -1.0 / float(value), 1.0)
-    if kind == "flat_mirror":
-        return AbcdMatrix.identity()
-    raise ValidationError("unknown elementary element %r" % (kind,))
-
-
 def propagation(d):
-    """Free propagation over distance ``d``."""
-    return elementary("propagation", d)
+    """Free propagation over distance ``d >= 0``."""
+    if d is None or d < 0.0:
+        raise ValidationError("propagation distance must be >= 0")
+    return AbcdMatrix(1.0, float(d), 0.0, 1.0)
 
 
 def thin_lens(f):
-    """Thin lens of focal length ``f``."""
-    return elementary("thin_lens", f)
+    """Thin lens of focal length ``f != 0``."""
+    if f is None or f == 0.0:
+        raise ValidationError("thin lens requires a nonzero focal length")
+    return AbcdMatrix(1.0, 0.0, -1.0 / float(f), 1.0)
 
 
 def flat_mirror():
     """Flat mirror (identity on the transverse state)."""
-    return elementary("flat_mirror")
+    return AbcdMatrix.identity()
 
 
 class ResonatorGeometry:

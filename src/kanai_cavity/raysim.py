@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .core import flow_products
 from .errors import ValidationError
 from .schedule import MirrorSchedule
 
@@ -55,11 +56,19 @@ class RayTrace:
         self.sched = sched
 
 
-def _trip_elements(sched, n_max):
-    """(a, b, c) arrays for trips 0..n_max-1, sampled at each trip start."""
-    starts = np.arange(n_max, dtype=float)
-    a, b, c = sched.elements_at(starts)
-    return np.broadcast_to(a, b.shape).tolist(), b.tolist(), c.tolist()
+def _flow(sched, start, n_max):
+    """Rows (x, y, x', y') of two ray states over ``n_max`` round trips.
+
+    ``start`` is (x0, y0, x'0, y'0): column j of the flow's starting matrix
+    is axis j's (x, x'), carried by :func:`flow_products`.
+    """
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
+    if not isinstance(sched, MirrorSchedule):
+        raise ValidationError("sched must be a MirrorSchedule")
+    a, b, c = sched.elements_at(np.arange(n_max, dtype=float))
+    return flow_products((a, b, c, a), start=start)
 
 
 def iterate_ray(sched, init, n_max):
@@ -69,21 +78,9 @@ def iterate_ray(sched, init, n_max):
     start of that trip (time k); in the adiabatic regime gamma << 1 the
     intra-trip mirror motion is negligible.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    if not isinstance(sched, MirrorSchedule):
-        raise ValidationError("sched must be a MirrorSchedule")
-    a_list, b_list, c_list = _trip_elements(sched, n_max)
-    x = np.empty(n_max + 1)
-    xp = np.empty(n_max + 1)
-    xc, xpc = init.x, init.xp
-    x[0], xp[0] = xc, xpc
-    for k in range(n_max):
-        a, b, c = a_list[k], b_list[k], c_list[k]
-        xc, xpc = a * xc + b * xpc, c * xc + a * xpc
-        x[k + 1], xp[k + 1] = xc, xpc
-    return RayTrace(np.arange(n_max + 1), x, xp, sched=sched)
+    flow = _flow(sched, (init.x, 0.0, init.xp, 0.0), n_max)
+    return RayTrace(np.arange(flow.shape[0]), flow[:, 0], flow[:, 2],
+                    sched=sched)
 
 
 def iterate_ray_difference(theta, gamma, x0, x1, n_max):
@@ -133,24 +130,10 @@ def lissajous(sched, init2d, n_max):
     both axes; the (x_n, y_n) scatter contracts toward the axis as
     exp(-g(n)/2).
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    x0, xp0, y0, yp0 = (float(v) for v in init2d)
-    a_list, b_list, c_list = _trip_elements(sched, n_max)
-    x = np.empty(n_max + 1)
-    xp = np.empty(n_max + 1)
-    y = np.empty(n_max + 1)
-    yp = np.empty(n_max + 1)
-    x[0], xp[0], y[0], yp[0] = x0, xp0, y0, yp0
-    xc, xpc, yc, ypc = x0, xp0, y0, yp0
-    for k in range(n_max):
-        a, b, c = a_list[k], b_list[k], c_list[k]
-        xc, xpc = a * xc + b * xpc, c * xc + a * xpc
-        yc, ypc = a * yc + b * ypc, c * yc + a * ypc
-        x[k + 1], xp[k + 1] = xc, xpc
-        y[k + 1], yp[k + 1] = yc, ypc
-    return RayTrace(np.arange(n_max + 1), x, xp, y, yp, sched=sched)
+    x0, xp0, y0, yp0 = init2d
+    flow = _flow(sched, (x0, y0, xp0, yp0), n_max)
+    return RayTrace(np.arange(flow.shape[0]), flow[:, 0], flow[:, 2],
+                    flow[:, 1], flow[:, 3], sched=sched)
 
 
 def pattern_radius(trace):

@@ -21,7 +21,6 @@ from kanai_cavity.kanai import (
     GaussianWavepacket,
     cavity_equation_coefficients,
     crosscheck_engines,
-    crosscheck_ray_centroid,
     map_parameters,
     moments,
     quantum_equation_coefficients,
@@ -210,7 +209,7 @@ def test_criterion_07_three_way_oracle(capsys):
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(gamma))
     x0 = eigenmode_beam(MATRIX0).spot_size(WAVELENGTH)
     records = crosscheck_engines(GEOM0, WAVELENGTH, sched, 200, center=x0)
-    ray = crosscheck_ray_centroid(sched, x0, 0.0, 200)
+    ray = iterate_ray(sched, RayState(x0, 0.0), 200).x
     wave = np.array([r["centroid_wave"] for r in records])
     analytic = np.array([r["centroid_analytic"] for r in records])
     pair_dev = max(

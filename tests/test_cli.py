@@ -7,6 +7,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 try:
     import tomllib
@@ -279,6 +280,53 @@ def test_beam_outside_window_exits_2(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
     assert "beam must lie inside the window" in err
     assert not out.exists() or not list(out.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# non-finite results
+
+
+@pytest.mark.parametrize("command, filename", [
+    ("stability", "schedule_path.csv"),
+    ("schedule", "schedule.csv"),
+    ("ray", "ray_trace.csv"),
+    ("lissajous", "lissajous_trace.csv"),
+    ("collapse", "collapse_gaussian_q.csv"),
+])
+def test_non_finite_data_exits_3(tmp_path, capsys, command, filename):
+    # at gamma = 1000, e^{g} overflows after one trip
+    cfg = write_config(tmp_path,
+                       friction={"kind": "constant", "gamma": 1000},
+                       run={"n_max": 3, "engine": "gaussian_q"},
+                       stability={"resolution": 8})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning reaches stderr
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: %s: column " % filename)
+    assert "is not finite" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def _refuse_constant(token):
+    raise ValueError("non-standard JSON constant %s" % token)
+
+
+def test_comparison_spreads_are_null_without_common_trips(tmp_path, capsys):
+    # a two-point grid truncates fresnel at trip 0, leaving no common trip
+    cfg = write_config(tmp_path, run={
+        "n_max": 3, "engine": ["fresnel", "gaussian_q"], "grid_n": 2})
+    out = tmp_path / "out"
+    assert cli.main(["collapse", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "collapse_comparison.json").read_text(),
+                        parse_constant=_refuse_constant)
+    assert report["common_trips"] == 0
+    assert report["max_w1_rel_spread"] is None
+    assert report["max_w2_rel_spread"] is None
+    assert list(report["diagnostics"]) == ["fresnel"]
+    assert "warning: fresnel run truncated" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

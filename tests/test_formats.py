@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kanai_cavity._formats import CSV_CHUNK_ROWS, csv_text
+from kanai_cavity._formats import CSV_CHUNK_ROWS, csv_text, json_text
+from kanai_cavity.errors import NumericalError
 from kanai_cavity.paraxial import stability_map
 
 
@@ -128,3 +129,17 @@ def test_raster_peak_memory_below_reference():
         lambda: reference_csv_text(header, zip(*columns)))
     assert text == expected
     assert new_peak <= ref_peak, (new_peak, ref_peak)
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+    {"outer": [1.0, {"inner": float("inf")}]},
+])
+def test_json_text_refuses_non_finite_floats(value):
+    with pytest.raises(NumericalError, match="cannot write"):
+        json_text(value)
+
+
+def test_json_text_writes_none_as_null():
+    assert json_text({"spread": None, "x": 0.5}) == (
+        '{\n  "spread": null,\n  "x": 5.0000000000000000e-01\n}\n')

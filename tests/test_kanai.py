@@ -12,7 +12,6 @@ from kanai_cavity.kanai import (
     QuantumParams,
     cavity_equation_coefficients,
     crosscheck_engines,
-    crosscheck_ray_centroid,
     free_gaussian,
     kanai_propagate,
     map_parameters,
@@ -20,6 +19,7 @@ from kanai_cavity.kanai import (
     quantum_equation_coefficients,
 )
 from kanai_cavity.paraxial import ResonatorGeometry, round_trip_matrix, stability
+from kanai_cavity.raysim import RayState, iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity.wavesim import eigenmode_beam
 
@@ -295,7 +295,7 @@ def test_crosscheck_displaced_centroids_agree_three_ways():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-2))
     x0 = SPOT0
     records = crosscheck_engines(GEOM0, WAVELENGTH, sched, 200, center=x0)
-    ray = crosscheck_ray_centroid(sched, x0, 0.0, 200)
+    ray = iterate_ray(sched, RayState(x0, 0.0), 200).x
     wave = np.array([r["centroid_wave"] for r in records])
     analytic = np.array([r["centroid_analytic"] for r in records])
     assert np.max(np.abs(wave - analytic)) / x0 < 0.01

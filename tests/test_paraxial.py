@@ -9,7 +9,6 @@ from kanai_cavity.errors import ContractViolationError, ValidationError
 from kanai_cavity.paraxial import (
     AbcdMatrix,
     ResonatorGeometry,
-    elementary,
     flat_mirror,
     half_trip_matrix,
     propagation,
@@ -51,12 +50,10 @@ def test_flat_mirror_is_identity():
 
 
 def test_elementary_validation():
-    with pytest.raises(ValidationError):
-        elementary("propagation", -1.0)
-    with pytest.raises(ValidationError):
-        elementary("thin_lens", 0.0)
-    with pytest.raises(ValidationError):
-        elementary("curved_mirror", 1.0)
+    with pytest.raises(ValidationError, match="propagation distance"):
+        propagation(-1.0)
+    with pytest.raises(ValidationError, match="nonzero focal length"):
+        thin_lens(0.0)
 
 
 # ---------------------------------------------------------------------------
