@@ -298,9 +298,11 @@ def cmd_collapse(cfg):
     if len(engines) > 1:
         common = min(trace.n.size for trace in traces)
         rel = [None, None]
-        for i, width in enumerate(("w1", "w2")) if common else ():
-            stack = np.vstack([getattr(t, width)[:common] for t in traces])
-            rel[i] = float(np.max(np.ptp(stack, axis=0) / stack.mean(axis=0)))
+        if common:
+            for i, width in enumerate(("w1", "w2")):
+                stack = np.vstack([getattr(t, width)[:common] for t in traces])
+                rel[i] = float(np.max(np.ptp(stack, axis=0)
+                                      / stack.mean(axis=0)))
         report = {
             "schema_version": SCHEMA_VERSION,
             "engines": list(engines),

@@ -17,8 +17,7 @@ phi_XX.  The cavity realizes the same equation with
 
 and t measured in round trips, which this module makes available as a
 parameter map plus an engine cross-check (analytic propagator against
-diffraction round trips; :func:`raysim.iterate_ray` gives the third,
-ray-optics centroid).
+diffraction round trips, with the ray centroid from ``iterate_ray``).
 """
 
 import math

@@ -139,7 +139,3 @@ def test_json_text_refuses_non_finite_floats(value):
     with pytest.raises(NumericalError, match="cannot write"):
         json_text(value)
 
-
-def test_json_text_writes_none_as_null():
-    assert json_text({"spread": None, "x": 0.5}) == (
-        '{\n  "spread": null,\n  "x": 5.0000000000000000e-01\n}\n')
