@@ -27,7 +27,6 @@ patches = tracing.instrument(tracing.Tracer())
 assert cli.iterate_ray is not raw, "iterate_ray is not wrapped"
 patches.undo()
 assert cli.iterate_ray is raw, "undo left a wrapper installed"
-print(len(tracing.TARGETS) + len(tracing.COUNTED))
 """
 
 
@@ -41,7 +40,6 @@ def test_perfbench_tracing_installs_every_target():
                           capture_output=True, text=True, env=env,
                           cwd=str(PERFBENCH))
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 0
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
