@@ -30,15 +30,20 @@ assert cli.iterate_ray is raw, "undo left a wrapper installed"
 """
 
 
-def test_perfbench_tracing_installs_every_target():
+def run_with_perfbench(code, *args):
+    """Run ``code`` in a child that imports perfbench and this package."""
     import_root = os.path.dirname(os.path.dirname(os.path.abspath(
         kanai_cavity.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PERFBENCH), import_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", INSTALL_AND_UNDO],
+    return subprocess.run([sys.executable, "-c", code] + list(args),
                           capture_output=True, text=True, env=env,
                           cwd=str(PERFBENCH))
+
+
+def test_perfbench_tracing_installs_every_target():
+    proc = run_with_perfbench(INSTALL_AND_UNDO)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -55,3 +60,46 @@ def test_every_command_accepts_the_benchmark_argv(tmp_path, command):
     assert cli.main([command, "--config", str(cfg), "--out", str(out),
                      "--jobs", "1"]) == 0
     assert list(out.iterdir())
+
+
+GRID_RUNS = """
+import json, os, sys
+import tracing
+from kanai_cavity import cli
+tracer = tracing.Tracer()
+tracing.instrument(tracer)
+work = sys.argv[1]
+base = {"schema_version": 1,
+        "geometry": {"l1_over_f": 1.7, "l2_over_f": 1.5,
+                     "lambda_over_f": 1e-4},
+        "friction": {"kind": "constant", "gamma": 1e-3},
+        "collapse": {"center_over_w1": 0.5}}
+# transforms of 3 trips: fresnel 3 per trip + 2 for the last row,
+# split_step 2 per Suzuki stage + 2 per row, crosscheck 2 per trip
+runs = (("collapse", "fresnel", 3 * 3 + 2),
+        ("collapse", "split_step", 3 * (2 + 2 * 5 * 8) + 2),
+        ("crosscheck", "fresnel", 3 * 2))
+for command, engine, transforms in runs:
+    cfg = dict(base, run={"n_max": 3, "grid_n": 256, "engine": engine})
+    path = os.path.join(work, "%s_%s.json" % (command, engine))
+    with open(path, "w") as handle:
+        json.dump(cfg, handle)
+    tracer.reset()
+    code = cli.main([command, "--config", path, "--out",
+                     os.path.join(work, "out"), "--jobs", "1"])
+    metrics = tracing.summarize(tracer)
+    assert code == 0, (command, engine, code)
+    tracing.check_fft_traced(metrics)
+    assert metrics["wavesim.fft.calls"] == transforms, (
+        command, engine, metrics["wavesim.fft.calls"])
+"""
+
+
+def test_grid_trips_run_through_the_traced_fft(tmp_path):
+    """Every transform of a grid trip is a traced ``wavesim.np.fft`` span.
+
+    A kernel that reaches numpy's transforms another way (say, cached in a
+    closure or a dict) passes the other tests; a benchmark run then stops
+    in ``check_fft_traced``, or counts too few transforms."""
+    proc = run_with_perfbench(GRID_RUNS, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

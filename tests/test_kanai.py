@@ -301,3 +301,38 @@ def test_crosscheck_displaced_centroids_agree_three_ways():
     assert np.max(np.abs(wave - analytic)) / x0 < 0.01
     assert np.max(np.abs(wave - ray)) / x0 < 0.01
     assert np.max(np.abs(analytic - ray)) / x0 < 0.01
+
+
+# ---------------------------------------------------------------------------
+# oracle: the analytic propagator as first written, chirp times free Gaussian
+
+
+def reference_kanai_propagate(packet, sol, params, x, n):
+    x = np.asarray(x, dtype=float)
+    dx = x[1] - x[0]
+    u1, u2, du2 = (float(v) for v in (sol.u1(n), sol.u2(n), sol.du2(n)))
+    w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
+    hbar = params.hbar_eff
+    mass = params.mass_eff
+    prefactor = (u2 + 0j) ** (-0.5)
+    chirp = np.exp(1j * mass * du2 * x ** 2 / (2.0 * hbar * w_ronskian * u2))
+    phi = free_gaussian(packet, x / u2, u1 / u2, hbar, mass)
+    return prefactor * chirp * phi
+
+
+@pytest.mark.parametrize("n_samples", [2, 4, 256, 1024, 8192])
+def test_propagator_matches_the_first_kernel(n_samples):
+    """Centred and displaced (moving) packets at trips where u2 > 0 and
+    u2 < 0, with and without friction; relative L2 <= 1e-12."""
+    x = propagator_grid(n_samples)
+    packets = (GaussianWavepacket(width=SPOT0 / 2.0),
+               GaussianWavepacket(width=0.7 * SPOT0, center=0.6 * SPOT0,
+                                  momentum=-3e-3))
+    for gamma in (0.0, 1e-2):
+        sol = make_solution(gamma)
+        for packet in packets:
+            for n in (0.0, 0.5, 1.0, 2.0, 7.0, 40.25):
+                ref = reference_kanai_propagate(packet, sol, PARAMS, x, n)
+                got = kanai_propagate(packet, sol, PARAMS, x, n).samples
+                err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert err <= 1e-12, (gamma, packet.center, n)

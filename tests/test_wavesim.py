@@ -508,3 +508,104 @@ def test_run_collapse_validation():
         run_collapse(sched, EIGENBEAM, 10, engine="fresnel")  # no wavelength
     with pytest.raises(ValidationError):
         run_collapse(sched, eigen_field(256), 10, engine="gaussian_q")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the grid trips as first written, with a fresh pair of
+# complex-exponential chirps, explicit FFT shifts and unmerged half-kicks
+
+
+def reference_fresnel_round_trip(field, m):
+    a_el, b_el, d_el = m.a, m.b, m.d
+    lam = field.wavelength
+    n = field.n_samples
+    dx_in = field.dx
+    x_in = field.grid
+    dx_out = lam * abs(b_el) / (n * dx_in)
+    x_out = centered_grid(n, dx_out)
+
+    pre = np.exp(-1j * math.pi * a_el * x_in ** 2 / (lam * b_el)) * field.samples
+    if b_el < 0.0:
+        spectrum = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(pre)))
+        amp = np.sqrt(-1j / (lam * abs(b_el)))
+    else:
+        spectrum = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(pre))) * n
+        amp = np.sqrt(1j / (lam * b_el))
+    post = np.exp(-1j * math.pi * d_el * x_out ** 2 / (lam * b_el))
+    out = amp * dx_in * post * spectrum
+    return ComplexField(out, dx_out, x_out[0], lam, field.plane_tag)
+
+
+def reference_split_step_round_trip(field, theta, b, c, k,
+                                    substeps=DEFAULT_SUBSTEPS):
+    sin_theta = math.sin(theta)
+    x = np.fft.ifftshift(field.grid)
+    kappa = 2.0 * math.pi * np.fft.fftfreq(field.n_samples, field.dx)
+    c_kin = b * theta / (2.0 * k * sin_theta)
+    c_pot = k * theta * c / (2.0 * sin_theta)
+    dt = 1.0 / substeps
+    tables = {w: (np.exp(-1j * c_pot * (w * dt / 2.0) * x ** 2),
+                  np.exp(1j * c_kin * w * dt * kappa ** 2))
+              for w in set(wavesim._SUZUKI_STAGES)}
+    stages = [tables[w] for w in wavesim._SUZUKI_STAGES]
+    out = np.fft.ifftshift(field.samples)
+    for _ in range(substeps):
+        for half_kick, drift in stages:
+            out = half_kick * out
+            out = np.fft.ifft(np.fft.fft(out) * drift)
+            out = half_kick * out
+    return field.with_samples(np.fft.fftshift(out))
+
+
+def rel_l2(ref, out):
+    return float(np.linalg.norm(out.samples - ref.samples)
+                 / np.linalg.norm(ref.samples))
+
+
+ORACLE_N = (2, 4, 256, 1024, 8192)
+#: b < 0 (the cavity's own round trip) and b > 0 (its inverse).
+ORACLE_MATRICES = (MATRIX0, AbcdMatrix(MATRIX0.d, -MATRIX0.b, -MATRIX0.c,
+                                       MATRIX0.a))
+
+
+def oracle_field(n_samples, displaced, b_el):
+    """Eigenbeam on the self-conjugate pitch, so chained trips keep the
+    grid; the displaced one is also tilted."""
+    beam = GaussianBeam(EIGENBEAM.q, center=SPOT0 if displaced else 0.0,
+                        tilt=2e-3 if displaced else 0.0)
+    return sample_beam(beam, WAVELENGTH, n_samples,
+                       dx=math.sqrt(WAVELENGTH * abs(b_el) / n_samples))
+
+
+@pytest.mark.parametrize("n_samples", ORACLE_N)
+def test_fresnel_round_trip_matches_the_first_kernel(n_samples):
+    """Five chained trips against the reference kernel, b < 0 and b > 0,
+    centred and displaced; relative L2 per trip <= 1e-12."""
+    for m in ORACLE_MATRICES:
+        for displaced in (False, True):
+            field = ref = oracle_field(n_samples, displaced, m.b)
+            for trip in range(5):
+                field = fresnel_round_trip(field, m, check_sampling=False)
+                ref = reference_fresnel_round_trip(ref, m)
+                case = (m.b, displaced, trip)
+                assert field.dx == pytest.approx(ref.dx, rel=1e-15), case
+                assert field.x0 == pytest.approx(ref.x0, rel=1e-15), case
+                assert rel_l2(ref, field) <= 1e-12, case
+
+
+@pytest.mark.parametrize("n_samples", ORACLE_N)
+def test_split_step_round_trip_matches_the_first_kernel(n_samples):
+    """Two chained trips against the reference kernel, b < 0 and b > 0,
+    centred and displaced, at 8 and 3 substeps; relative L2 per trip
+    <= 1e-12."""
+    for m in ORACLE_MATRICES:
+        for displaced in (False, True):
+            for substeps in (DEFAULT_SUBSTEPS, 3):
+                field = ref = oracle_field(n_samples, displaced, m.b)
+                for trip in range(2):
+                    field = split_step_round_trip(
+                        field, THETA, m.b, m.c, WAVENUMBER, substeps)
+                    ref = reference_split_step_round_trip(
+                        ref, THETA, m.b, m.c, WAVENUMBER, substeps)
+                    case = (m.b, displaced, substeps, trip)
+                    assert rel_l2(ref, field) <= 1e-12, case
