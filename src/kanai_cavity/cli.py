@@ -292,9 +292,6 @@ def cmd_collapse(cfg):
             filename, ["n", "w1_over_w0", "w2_over_w0", "product"],
             [trace.n, trace.w1 / w0, trace.w2 / w0,
              trace.w1 * trace.w2 / (w0 * w0)])
-        if trace.truncated:
-            print("warning: %s %s" % (engine, trace.diagnostic),
-                  file=sys.stderr)
     if len(engines) > 1:
         common = min(trace.n.size for trace in traces)
         rel = [None, None]
@@ -314,6 +311,11 @@ def cmd_collapse(cfg):
                             if trace.truncated},
         }
         files["collapse_comparison.json"] = json_text(report)
+    # Warn only once every file is built: a refused run prints one line.
+    for engine, trace in zip(engines, traces):
+        if trace.truncated:
+            print("warning: %s %s" % (engine, trace.diagnostic),
+                  file=sys.stderr)
     return files
 
 

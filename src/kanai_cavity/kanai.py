@@ -20,12 +20,14 @@ parameter map plus an engine cross-check (analytic propagator against
 diffraction round trips, with the ray centroid from ``iterate_ray``).
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from .core import OscillatorParams, fundamental_solutions
-from .errors import MappingError, NearCausticError, ValidationError
+from .errors import (MappingError, NearCausticError, NumericalError,
+                     ValidationError)
 from .paraxial import AbcdMatrix, round_trip_matrix, stability
 from .wavesim import (ComplexField, GaussianBeam, fresnel_round_trip,
                       phase_aligned_l2, sample_beam, spot_size)
@@ -107,14 +109,6 @@ def free_gaussian(packet, x, t, hbar, mass):
                      + 1j * phase))
 
 
-def _solution_at(sol, n):
-    u1 = sol.u1(n)
-    u2 = sol.u2(n)
-    du2 = sol.du2(n)
-    g, _ = sol.params.friction.evaluate(n)
-    return u1, u2, du2, np.exp(-g)
-
-
 def kanai_propagate(packet, sol, params, x, n):
     """Evaluate the exact damped-oscillator wavefunction at trip n on a grid.
 
@@ -122,6 +116,12 @@ def kanai_propagate(packet, sol, params, x, n):
     :class:`ComplexField` whose wavelength encodes hbar_eff = 1/k).  Norm is
     preserved for any n; near a caustic (|u2| <= 1e-12) the prefactor
     diverges and :class:`NearCausticError` is raised.
+
+    The chirp exp(i m u2' x^2 / (2 hbar W u2)), the prefactor u2^{-1/2} and
+    the free Gaussian at (x/u2, u1/u2) (see :func:`free_gaussian`) multiply
+    to one exp((alpha x + beta) x + c) with complex scalars alpha, beta, c.
+    When those or the samples are not finite (W = e^{-g} underflows at large
+    g) :class:`NumericalError` is raised.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -130,16 +130,36 @@ def kanai_propagate(packet, sol, params, x, n):
     if dx <= 0.0 or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * dx:
         raise ValidationError("x must be uniformly increasing")
     n = float(n)
-    u1, u2, du2, w_ronskian = (float(v) for v in _solution_at(sol, n))
+    u1, u2, du2 = (float(v) for v in (sol.u1(n), sol.u2(n), sol.du2(n)))
     if abs(u2) <= 1e-12:
         raise NearCausticError(
             "caustic at n = %g: |u2| = %g" % (n, abs(u2)))
+    w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
+    if w_ronskian == 0.0:
+        raise NumericalError(
+            "analytic propagator: W = e^{-g} underflows at n = %g" % n)
     hbar = params.hbar_eff
     mass = params.mass_eff
-    prefactor = (u2 + 0j) ** (-0.5)
-    chirp = np.exp(1j * mass * du2 * x ** 2 / (2.0 * hbar * w_ronskian * u2))
-    phi = free_gaussian(packet, x / u2, u1 / u2, hbar, mass)
-    samples = prefactor * chirp * phi
+    momentum = packet.momentum
+    sigma_sq = packet.width * packet.width
+    t = u1 / u2
+    spread = 1.0 + 1j * hbar * t / (2.0 * mass * sigma_sq)
+    x_c = packet.center + momentum * t / mass
+    q = 1.0 / (4.0 * sigma_sq * spread)
+    amplitude = ((u2 + 0j) ** (-0.5) * (2.0 * math.pi * sigma_sq) ** (-0.25)
+                 / cmath.sqrt(spread))
+    alpha = (1j * mass * du2 / (2.0 * hbar * w_ronskian * u2)
+             - q / (u2 * u2))
+    beta = (2.0 * q * x_c + 1j * momentum / hbar) / u2
+    c = (cmath.log(amplitude) - q * x_c * x_c
+         - 1j * momentum * momentum * t / (2.0 * mass * hbar))
+    if not all(map(cmath.isfinite, (alpha, beta, c))):
+        raise NumericalError(
+            "analytic propagator coefficients are not finite at n = %g" % n)
+    samples = np.exp((alpha * x + beta) * x + c)
+    if not np.all(np.isfinite(samples)):
+        raise NumericalError(
+            "analytic propagator samples are not finite at n = %g" % n)
     return ComplexField(samples, dx, float(x[0]), 2.0 * math.pi * hbar,
                         "left_mirror")
 

@@ -20,6 +20,8 @@ Spot sizes are reported as twice the intensity standard deviation, which for
 a fundamental Gaussian equals the 1/e^2 intensity radius.
 """
 
+import cmath
+import functools
 import json
 import math
 
@@ -311,7 +313,8 @@ def _check_chirp_sampling(field, a_elem, b_elem):
         support = field.grid[intens >= 1e-12 * intens.max()]
         x_edge = float(np.max(np.abs(support - x_mean))) + abs(x_mean)
 
-        spectrum = np.fft.fft(np.fft.ifftshift(field.samples))
+        # |fft|^2 needs no shift: shifting the input only flips signs
+        spectrum = np.fft.fft(field.samples)
         power = np.abs(spectrum) ** 2
         power /= power.sum()
         nu = np.fft.fftfreq(n, dx)
@@ -333,24 +336,42 @@ def _check_chirp_sampling(field, a_elem, b_elem):
             % (nu_needed, nu_nyquist, suggested), suggested_n=suggested)
 
 
-def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
-    """Apply the generalized diffraction integral of a ray matrix.
+@functools.lru_cache(maxsize=8)
+def _half_tables(n):
+    """k^2 and (-1)^k for k = 0..n/2, read-only, once per grid size."""
+    k = np.arange(n // 2 + 1)
+    k_sq = (k * k).astype(float)
+    sign = 1.0 - 2.0 * (k % 2)
+    k_sq.flags.writeable = sign.flags.writeable = False
+    return k_sq, sign
 
-    Implements
 
-        psi_out(x) = sqrt(i/(lambda b)) *
-            integral exp[-i pi (a xi^2 + d x^2 - 2 x xi)/(lambda b)] psi(xi) dxi
+def _chirp(n, beta, scale=1.0):
+    """scale (-1)^s exp(i beta s^2) on the centred index s = j - n//2.
 
-    by pre-chirp, discrete Fourier transform, and post-chirp.  The output is
-    returned on the natural grid of the transform, spacing
-    ``lambda |b| / (N dx_in)`` -- it is not resampled, so along a damping
-    schedule the grid contracts together with the field.
-
-    Raises :class:`NearFocalPlaneError` for |b| <= EPSILON_B (the kernel is
-    singular at b = 0) and :class:`SamplingError` when the chirp would alias.
+    The exponential is evaluated for |s| = 0..n/2 only and mirrored.  The
+    exact factor (-1)^s stands in for the shifts of a centred grid: for even
+    n, fftshift(fft(ifftshift(y))) = (-1)^(n/2) (-1)^s fft((-1)^s y), and
+    likewise with ifft.
     """
+    k_sq, sign = _half_tables(n)
+    phase = beta * k_sq
+    half = np.empty(k_sq.size, dtype=complex)
+    np.cos(phase, out=half.real)
+    np.sin(phase, out=half.imag)
+    half *= scale * sign
+    out = np.empty(n, dtype=complex)
+    out[:half.size] = half[::-1]
+    out[half.size:] = half[1:-1]
+    return out
+
+
+def _diffract(field, m, check_sampling=True):
+    """Pre-chirped transform of the diffraction integral of ``m`` and the
+    output spacing; without the post-chirp (modulus one) and the amplitude
+    (a constant), it carries the output intensity up to a constant factor."""
     _require_centered(field)
-    a_el, b_el, d_el = m.a, m.b, m.d
+    a_el, b_el = m.a, m.b
     if abs(b_el) <= EPSILON_B:
         raise NearFocalPlaneError(
             "|b| = %g <= %g: reference plane too close to a focal plane "
@@ -360,20 +381,39 @@ def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
     lam = field.wavelength
     n = field.n_samples
     dx_in = field.dx
-    x_in = field.grid
-    dx_out = lam * abs(b_el) / (n * dx_in)
-    x_out = centered_grid(n, dx_out)
-
-    pre = np.exp(-1j * math.pi * a_el * x_in ** 2 / (lam * b_el)) * field.samples
+    pre = _chirp(n, -math.pi * a_el * dx_in ** 2 / (lam * b_el))
+    pre *= field.samples
     if b_el < 0.0:
-        spectrum = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(pre)))
-        amp = np.sqrt(-1j / (lam * abs(b_el)))
+        spectrum = np.fft.fft(pre)
     else:
-        spectrum = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(pre))) * n
-        amp = np.sqrt(1j / (lam * b_el))
-    post = np.exp(-1j * math.pi * d_el * x_out ** 2 / (lam * b_el))
-    out = amp * dx_in * post * spectrum
-    return ComplexField(out, dx_out, x_out[0], lam,
+        spectrum = np.fft.ifft(pre, norm="forward")
+    return spectrum, lam * abs(b_el) / (n * dx_in)
+
+
+def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
+    """Apply the generalized diffraction integral of a ray matrix.
+
+    Implements
+
+        psi_out(x) = sqrt(i/(lambda b)) *
+            integral exp[-i pi (a xi^2 + d x^2 - 2 x xi)/(lambda b)] psi(xi) dxi
+
+    by pre-chirp, discrete Fourier transform, and post-chirp; the shifts of
+    the centred grids are folded into the chirps.  The output is returned
+    on the natural grid of the transform, spacing ``lambda |b| / (N dx_in)``
+    -- it is not resampled, so along a damping schedule the grid contracts
+    together with the field.
+
+    Raises :class:`NearFocalPlaneError` for |b| <= EPSILON_B (the kernel is
+    singular at b = 0) and :class:`SamplingError` when the chirp would alias.
+    """
+    spectrum, dx_out = _diffract(field, m, check_sampling)
+    lam = field.wavelength
+    n = field.n_samples
+    scale = (-1.0) ** (n // 2) * cmath.sqrt(1j / (lam * m.b)) * field.dx
+    out = _chirp(n, -math.pi * m.d * dx_out ** 2 / (lam * m.b), scale)
+    out *= spectrum
+    return ComplexField(out, dx_out, -(n // 2) * dx_out, lam,
                         plane_tag or field.plane_tag)
 
 
@@ -394,6 +434,8 @@ def split_step_round_trip(field, theta, b, c, k, substeps=DEFAULT_SUBSTEPS):
     (fixed) grid.  Each of the ``substeps`` substeps is a five-stage Suzuki
     composition of kick-drift-kick stages, giving a per-trip error that
     scales as (theta / substeps)^4 while every stage stays exactly unitary.
+    Adjacent half-kicks are diagonal and merge into one kick, so a trip
+    makes 5 substeps + 1 kicks.
     """
     _require_centered(field)
     substeps = int(substeps)
@@ -404,24 +446,28 @@ def split_step_round_trip(field, theta, b, c, k, substeps=DEFAULT_SUBSTEPS):
         raise NearInstabilityError(
             "sin(theta) = %g: matrix too close to marginal stability for "
             "the continuous-time coefficients" % sin_theta)
-    # The field stays in FFT order for the whole trip: the kicks act
-    # pointwise, so their tables take the shift instead of every stage.
-    x = np.fft.ifftshift(field.grid)
-    kappa = 2.0 * math.pi * np.fft.fftfreq(field.n_samples, field.dx)
+    # No FFT shifts: the sign factors that would stand in for them (see
+    # _chirp) cancel between fft and ifft around the pointwise drift.
+    x_sq = field.grid ** 2
+    kappa_sq = (2.0 * math.pi * np.fft.fftfreq(field.n_samples, field.dx)) ** 2
     c_kin = b * theta / (2.0 * k * sin_theta)
     c_pot = k * theta * c / (2.0 * sin_theta)
     dt = 1.0 / substeps
-    tables = {w: (np.exp(-1j * c_pot * (w * dt / 2.0) * x ** 2),
-                  np.exp(1j * c_kin * w * dt * kappa ** 2))
+    weights = _SUZUKI_STAGES * substeps
+    # half a stage's kick on each side of its drift; neighbours merge
+    kick_weights = [(u + w) / 2.0
+                    for u, w in zip((0.0,) + weights, weights + (0.0,))]
+    kicks = {w: np.exp(-1j * c_pot * (w * dt) * x_sq)
+             for w in set(kick_weights)}
+    drifts = {w: np.exp(1j * c_kin * w * dt * kappa_sq)
               for w in set(_SUZUKI_STAGES)}
-    stages = [tables[w] for w in _SUZUKI_STAGES]
-    out = np.fft.ifftshift(field.samples)
-    for _ in range(substeps):
-        for half_kick, drift in stages:
-            out = half_kick * out
-            out = np.fft.ifft(np.fft.fft(out) * drift)
-            out = half_kick * out
-    return field.with_samples(np.fft.fftshift(out))
+    out = kicks[kick_weights[0]] * field.samples
+    for w, kick_w in zip(weights, kick_weights[1:]):
+        spectrum = np.fft.fft(out)
+        spectrum *= drifts[w]
+        out = np.fft.ifft(spectrum)
+        out *= kicks[kick_w]
+    return field.with_samples(out)
 
 
 def beam_round_trip(q, m):
@@ -591,9 +637,12 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
     for n in range(n_max + 1):
         try:
             w1 = spot_size(field)
-            right = fresnel_round_trip(field, sched.half_matrix_at(float(n)),
-                                       plane_tag="right_mirror")
-            w2 = spot_size(right)
+            # spot_size reads only the intensity: skip the post-chirp
+            spectrum, dx_out = _diffract(field,
+                                         sched.half_matrix_at(float(n)))
+            w2 = spot_size(ComplexField(
+                spectrum, dx_out, -(field.n_samples // 2) * dx_out,
+                field.wavelength, "right_mirror"))
         except (SamplingError, ResolutionError) as exc:
             diagnostic = "run truncated at trip %d: %s" % (n, exc)
             break

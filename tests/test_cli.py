@@ -310,6 +310,42 @@ def test_non_finite_data_exits_3(tmp_path, capsys, command, filename):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_crosscheck_overflow_exits_3(tmp_path, capsys):
+    # at gamma = 1000, W = e^{-g} underflows after one trip, so the analytic
+    # propagator cannot be evaluated: a numerical failure, not a bad config
+    cfg = write_config(tmp_path,
+                       friction={"kind": "constant", "gamma": 1000},
+                       run={"n_max": 3, "grid_n": 256})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["crosscheck", "--config", cfg, "--out",
+                         str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: analytic propagator")
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("gamma, code, prefix", [
+    (1e-3, 0, "warning: fresnel run truncated at trip 0"),
+    (1000, 3, "numerical failure: collapse_gaussian_q.csv: column "),
+])
+def test_truncated_multi_engine_collapse_prints_one_line(
+        tmp_path, capsys, gamma, code, prefix):
+    # a two-point grid truncates fresnel at trip 0; at gamma = 1000 the
+    # gaussian_q CSV is refused as well, and then no warning is printed
+    cfg = write_config(tmp_path,
+                       friction={"kind": "constant", "gamma": gamma},
+                       run={"n_max": 3, "engine": ["fresnel", "gaussian_q"],
+                            "grid_n": 2})
+    out = tmp_path / "out"
+    assert cli.main(["collapse", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prefix)
+
+
 def _refuse_constant(token):
     raise ValueError("non-standard JSON constant %s" % token)
 
