@@ -18,10 +18,13 @@ from kanai_cavity.kanai import (
     moments,
     quantum_equation_coefficients,
 )
-from kanai_cavity.paraxial import ResonatorGeometry, round_trip_matrix, stability
+from kanai_cavity.paraxial import (AbcdMatrix, ResonatorGeometry,
+                                   round_trip_matrix, stability)
 from kanai_cavity.raysim import RayState, iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
-from kanai_cavity.wavesim import eigenmode_beam
+from kanai_cavity.wavesim import (GaussianBeam, eigenmode_beam,
+                                  fresnel_round_trip, phase_aligned_l2,
+                                  sample_beam, spot_size)
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
 THETA = stability(round_trip_matrix(GEOM0)).theta
@@ -337,3 +340,86 @@ def test_propagator_matches_the_first_kernel(n_samples):
                 got = kanai_propagate(packet, sol, PARAMS, x, n).samples
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12, (gamma, packet.center, n)
+
+
+# ---------------------------------------------------------------------------
+# oracle: crosscheck records from per-trip kanai_propagate and moments calls
+
+
+RECORD_FIELDS = ("l2_distance", "centroid_wave", "centroid_analytic",
+                 "width_wave", "width_analytic")
+
+
+def reference_crosscheck(geom0, wavelength, sched, n_max, center=0.0,
+                         tilt=0.0, grid_n=256):
+    """The crosscheck loop as first written: the analytic side comes from
+    one ``kanai_propagate`` and one ``moments`` call per trip."""
+    params = map_parameters(geom0, wavelength)
+    m0 = round_trip_matrix(geom0)
+    beam = GaussianBeam(1j * math.sqrt(-m0.b / m0.c), center=center,
+                        tilt=tilt)
+    packet = GaussianWavepacket(beam.spot_size(wavelength) / 2.0,
+                                center=center, momentum=-tilt)
+    sol = fundamental_solutions(
+        OscillatorParams(params.omega, sched.friction),
+        n_max=n_max or min(1.0, sched.friction.n_max))
+    field = sample_beam(beam, wavelength, grid_n)
+    a_arr, b_arr, c_arr = sched.elements_at(
+        np.arange(max(n_max, 1), dtype=float))
+    records = []
+    for n in range(n_max + 1):
+        analytic = kanai_propagate(packet, sol, params, field.grid, float(n))
+        x_mean, delta_x = moments(packet, sol, params, float(n))
+        records.append({
+            "n": n,
+            "l2_distance": phase_aligned_l2(analytic, field),
+            "centroid_wave": field.centroid(),
+            "centroid_analytic": x_mean,
+            "width_wave": spot_size(field) / 2.0,
+            "width_analytic": delta_x,
+        })
+        if n == n_max:
+            break
+        field = fresnel_round_trip(
+            field, AbcdMatrix(a_arr[n], b_arr[n], c_arr[n], a_arr[n]))
+    return records
+
+
+def seeded_table(seed, n_end=64.0):
+    """A monotone g(n) table with nodes off the 1/8-trip grid and flat
+    stretches (runs of equal g), covering [0, n_end]."""
+    rng = np.random.default_rng(seed)
+    n = [0.0]
+    while n[-1] < n_end:
+        n.append(n[-1] + rng.uniform(1.3, 9.7))
+    steps = rng.uniform(2e-3, 1.2e-2, len(n) - 1)
+    steps[rng.random(steps.size) < 0.3] = 0.0
+    return FrictionProfile.tabulated(n, np.concatenate(([0.0],
+                                                        np.cumsum(steps))))
+
+
+def bit_patterns(records):
+    return [(r["n"],) + tuple(float(r[k]).hex() for k in RECORD_FIELDS)
+            for r in records]
+
+
+FRICTIONS = {
+    "constant": FrictionProfile.constant(5e-3),
+    "table1": seeded_table(1),
+    "table2": seeded_table(2),
+}
+
+
+@pytest.mark.parametrize("friction", sorted(FRICTIONS))
+@pytest.mark.parametrize("n_max", [0, 1, 7, 60])
+@pytest.mark.parametrize("center, tilt", [(0.0, 0.0), (0.7, 0.0),
+                                          (-0.5, 1e-3)])
+def test_crosscheck_records_match_per_trip_calls(friction, n_max, center,
+                                                 tilt):
+    """Every float64 bit of every record, against per-trip calls."""
+    sched = MirrorSchedule(GEOM0, FRICTIONS[friction])
+    kwargs = dict(center=center * SPOT0, tilt=tilt)
+    got = crosscheck_engines(GEOM0, WAVELENGTH, sched, n_max, grid_n=256,
+                             **kwargs)
+    ref = reference_crosscheck(GEOM0, WAVELENGTH, sched, n_max, **kwargs)
+    assert bit_patterns(got) == bit_patterns(ref)
