@@ -43,6 +43,18 @@ from .wavesim import (DEFAULT_GRID_N, DEFAULT_WAVELENGTH,
 
 SCHEMA_VERSION = 1
 ENGINES = ("fresnel", "split_step", "gaussian_q")
+#: The keys each config section may hold; any other key is refused.
+SECTION_KEYS = {
+    "geometry": ("l1_over_f", "l2_over_f", "lambda_over_f"),
+    "friction": ("kind", "gamma", "path"),
+    "run": ("n_max", "dn", "grid_n", "window_factor", "engine"),
+    "stability": ("resolution", "l1_range", "l2_range"),
+    "ray": ("x0", "xp0"),
+    "lissajous": ("x0", "xp0", "y0", "yp0"),
+    "collapse": ("center_over_w1",),
+    "crosscheck": ("center_over_w1", "tilt", "width_scale"),
+    "outputs": ("formats", "directory"),
+}
 
 
 def _fail(message):
@@ -63,7 +75,19 @@ def _load_config(path):
         _fail("config root must be a JSON object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         _fail("config must declare \"schema_version\": %d" % SCHEMA_VERSION)
+    for name, sec in cfg.items():
+        if name != "schema_version" and name not in SECTION_KEYS:
+            _fail("unknown config section %r" % name)
+        # A section that is not an object is refused when a command reads it.
+        if isinstance(sec, dict):
+            _reject_unknown(sec, name, SECTION_KEYS[name])
     return cfg
+
+
+def _reject_unknown(sec, name, keys, context=""):
+    for key in sec:
+        if key not in keys:
+            _fail("unknown config key %s.%s%s" % (name, key, context))
 
 
 def _section(cfg, name, required=False):
@@ -122,9 +146,13 @@ def _build_friction(cfg, config_dir):
     fr = _section(cfg, "friction", required=True)
     kind = fr.get("kind")
     if kind == "constant":
+        _reject_unknown(fr, "friction", ("kind", "gamma"),
+                        " for constant friction")
         gamma = _number(fr, "friction", "gamma", minimum=0.0)
         return FrictionProfile.constant(gamma)
     if kind == "tabulated":
+        _reject_unknown(fr, "friction", ("kind", "path"),
+                        " for tabulated friction")
         path = fr.get("path")
         if not isinstance(path, str) or not path:
             _fail("friction.path is required for tabulated friction")

@@ -109,6 +109,17 @@ def free_gaussian(packet, x, t, hbar, mass):
                      + 1j * phase))
 
 
+def _uniform_grid(x):
+    """``x`` as a float array and its step x[1] - x[0]; must be uniform."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValidationError("x must be a 1-d grid with >= 2 points")
+    dx = x[1] - x[0]
+    if dx <= 0.0 or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * dx:
+        raise ValidationError("x must be uniformly increasing")
+    return x, dx
+
+
 def kanai_propagate(packet, sol, params, x, n):
     """Evaluate the exact damped-oscillator wavefunction at trip n on a grid.
 
@@ -123,18 +134,19 @@ def kanai_propagate(packet, sol, params, x, n):
     When those or the samples are not finite (W = e^{-g} underflows at large
     g) :class:`NumericalError` is raised.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValidationError("x must be a 1-d grid with >= 2 points")
-    dx = x[1] - x[0]
-    if dx <= 0.0 or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * dx:
-        raise ValidationError("x must be uniformly increasing")
+    x, dx = _uniform_grid(x)
     n = float(n)
     u1, u2, du2 = (float(v) for v in (sol.u1(n), sol.u2(n), sol.du2(n)))
+    w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
+    return _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian)
+
+
+def _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian):
+    """:func:`kanai_propagate` from the float values of u1, u2, u2' and W
+    at trip n."""
     if abs(u2) <= 1e-12:
         raise NearCausticError(
             "caustic at n = %g: |u2| = %g" % (n, abs(u2)))
-    w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
     if w_ronskian == 0.0:
         raise NumericalError(
             "analytic propagator: W = e^{-g} underflows at n = %g" % n)
@@ -170,18 +182,25 @@ def moments(packet, sol, params, n):
     Returns ``(x_mean, delta_x)`` with
     x_mean = center u2 + (momentum/m) u1 and
     delta_x = sqrt( (u2 width)^2 + (hbar u1 / (2 m width))^2 ),
-    both vectorized over n.
+    both vectorized over n.  An array n can differ from scalar calls in
+    the last bit of delta_x: numpy squares an array with ``square`` but a
+    scalar with ``pow``, and the two round differently on a few inputs.
     """
     n = np.asarray(n, dtype=float)
-    u1 = np.asarray(sol.u1(n))
-    u2 = np.asarray(sol.u2(n))
+    x_mean, delta_x = _moments(packet, params, np.asarray(sol.u1(n)),
+                               np.asarray(sol.u2(n)))
+    if n.ndim == 0:
+        return float(x_mean), float(delta_x)
+    return x_mean, delta_x
+
+
+def _moments(packet, params, u1, u2):
+    """:func:`moments` from the values of u1 and u2."""
     x_mean = packet.center * u2 + packet.momentum * u1 / params.mass_eff
     sigma = packet.width
     delta_x = np.sqrt((u2 * sigma) ** 2
                       + (params.hbar_eff * u1
                          / (2.0 * params.mass_eff * sigma)) ** 2)
-    if n.ndim == 0:
-        return float(x_mean), float(delta_x)
     return x_mean, delta_x
 
 
@@ -241,20 +260,30 @@ def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
         OscillatorParams(params.omega, sched.friction),
         n_max=n_max or min(1.0, sched.friction.n_max))
 
+    # The classical side over every trip at once; each trip reads its
+    # values, which equal the scalar evaluations bit for bit.
+    trips = np.arange(n_max + 1, dtype=float)
+    u1, u2, du2 = sol.u1(trips), sol.u2(trips), sol.du2(trips)
+    w_ronskian = np.exp(-sched.friction.evaluate(trips)[0])
+
     field = sample_beam(beam, wavelength, grid_n, window_factor=window_factor)
     starts = np.arange(max(n_max, 1), dtype=float)
     a_arr, b_arr, c_arr = sched.elements_at(starts)
     records = []
     for n in range(n_max + 1):
-        analytic = kanai_propagate(packet, sol, params, field.grid, float(n))
-        x_mean, delta_x = moments(packet, sol, params, float(n))
+        x, dx = _uniform_grid(field.grid)
+        analytic = _propagate(packet, params, x, dx, float(n), float(u1[n]),
+                              float(u2[n]), float(du2[n]),
+                              float(w_ronskian[n]))
+        # numpy scalars, as in a scalar moments() call (see its docstring)
+        x_mean, delta_x = _moments(packet, params, u1[n], u2[n])
         records.append({
             "n": n,
             "l2_distance": phase_aligned_l2(analytic, field),
             "centroid_wave": field.centroid(),
-            "centroid_analytic": x_mean,
+            "centroid_analytic": float(x_mean),
             "width_wave": spot_size(field) / 2.0,
-            "width_analytic": delta_x,
+            "width_analytic": float(delta_x),
         })
         if n == n_max:
             break

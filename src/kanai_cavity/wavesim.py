@@ -310,8 +310,11 @@ def _check_chirp_sampling(field, a_elem, b_elem):
     if field._chirp_stats is None:
         intens = field._intensity
         x_mean = field.centroid()
-        support = field.grid[intens >= 1e-12 * intens.max()]
-        x_edge = float(np.max(np.abs(support - x_mean))) + abs(x_mean)
+        # The grid increases, so |x - x_mean| over the support peaks at its
+        # first or last point.
+        support = intens >= 1e-12 * intens.max()
+        ends = field.grid[[support.argmax(), n - 1 - support[::-1].argmax()]]
+        x_edge = float(np.max(np.abs(ends - x_mean))) + abs(x_mean)
 
         # |fft|^2 needs no shift: shifting the input only flips signs
         spectrum = np.fft.fft(field.samples)

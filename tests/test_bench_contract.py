@@ -103,3 +103,41 @@ def test_grid_trips_run_through_the_traced_fft(tmp_path):
     in ``check_fft_traced``, or counts too few transforms."""
     proc = run_with_perfbench(GRID_RUNS, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+SOLUTION_CALLS = """
+import json, os, sys
+import tracing
+from kanai_cavity import cli
+tracer = tracing.Tracer()
+tracing.instrument(tracer)
+work = sys.argv[1]
+table = os.path.join(work, "table.csv")
+with open(table, "w") as handle:
+    handle.write("n,g\\n0,0\\n3.3,0.011\\n7.1,0.027\\n12.45,0.05\\n"
+                 "26.7,0.12\\n41.9,0.21\\n50,0.26\\n")
+calls = []
+for n_max in (5, 40):
+    cfg = {"schema_version": 1,
+           "geometry": {"l1_over_f": 1.7, "l2_over_f": 1.5},
+           "friction": {"kind": "tabulated", "path": table},
+           "run": {"n_max": n_max, "grid_n": 256}}
+    path = os.path.join(work, "crosscheck_%d.json" % n_max)
+    with open(path, "w") as handle:
+        json.dump(cfg, handle)
+    tracer.reset()
+    code = cli.main(["crosscheck", "--config", path, "--out",
+                     os.path.join(work, "out"), "--jobs", "1"])
+    assert code == 0, (n_max, code)
+    calls.append(tracing.summarize(tracer)["core.solution_eval.calls"])
+assert calls[0] == calls[1] > 0, calls
+"""
+
+
+def test_crosscheck_evaluates_the_classical_solutions_once_per_run(
+        tmp_path):
+    """The traced ``ClassicalSolution._eval`` calls of a tabulated
+    crosscheck do not grow with the trip count: u1, u2 and u2' are
+    evaluated over every trip at once, not one scalar per trip."""
+    proc = run_with_perfbench(SOLUTION_CALLS, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

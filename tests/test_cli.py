@@ -399,6 +399,30 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"run": {"n_mx": 10}}, "run.n_mx"),
+    ({"colapse": {"center_over_w1": 0.5}}, "'colapse'"),
+    ({"friction": {"kind": "tabulated", "path": "table.csv", "gamma": 1e-3}},
+     "friction.gamma"),
+    ({"friction": {"kind": "constant", "gamma": 1e-3, "path": "table.csv"}},
+     "friction.path"),
+    ({"geometry": {"l1_over_f": 1.7, "l2_over_f": 1.5, "lambda": 1e-4}},
+     "geometry.lambda"),
+    ({"_config_dir": "."}, "'_config_dir'"),
+])
+@pytest.mark.parametrize("command", ["schedule", "crosscheck"])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command, overrides,
+                                    key):
+    (tmp_path / "table.csv").write_text("n,g\n0,0\n100,0.1\n")
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: unknown config ") and key in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 NAN, INF = float("nan"), float("inf")
 
 

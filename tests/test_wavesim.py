@@ -238,6 +238,30 @@ def test_sampling_check_counts_the_spectral_mean():
         wavesim._check_chirp_sampling(tilted, 0.0, MATRIX0.b)
 
 
+def test_sampling_support_edge_matches_the_masked_grid():
+    """The support edge from the mask's first and last index has the bits
+    of the maximum over the masked grid, including a one-point support."""
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = 1 << int(rng.integers(1, 11))
+        samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+            * np.exp(-rng.uniform(0.0, 60.0, n))
+        if trial % 4 == 0:
+            samples = np.zeros(n, dtype=complex)
+            samples[rng.integers(n)] = 1.0 + 0.5j
+        field = ComplexField(samples, rng.uniform(1e-6, 1e-3),
+                             rng.uniform(-1.0, 1.0), WAVELENGTH)
+        intens = np.abs(field.samples) ** 2
+        x_mean = field.centroid()
+        support = field.grid[intens >= 1e-12 * intens.max()]
+        expected = float(np.max(np.abs(support - x_mean))) + abs(x_mean)
+        try:
+            wavesim._check_chirp_sampling(field, 0.0, MATRIX0.b)
+        except SamplingError:
+            pass
+        assert field._chirp_stats[0].hex() == expected.hex(), trial
+
+
 @pytest.fixture
 def fft_count(monkeypatch):
     """Count the transforms wavesim makes through numpy.fft."""
