@@ -14,11 +14,12 @@ Exit codes: 0 success, 2 validation error (bad config, bad domain), 3
 numerical failure (singular kernel, aliasing, caustic, non-finite data).
 
 The config is a single JSON document with a ``schema_version`` field; see
-the README for the full schema.  Outputs are deterministic: floats are
-written with 17 significant digits in lowercase scientific notation and
-every file is written to a temp file and atomically renamed, so a failed
-run leaves no partial data files.  Every data value is finite except
-theta = nan for the unstable cells of the stability raster.
+the README for the full schema.  A key outside it is refused (exit 2).
+Outputs are deterministic: floats are written with 17 significant digits
+in lowercase scientific notation and every file is written to a temp file
+and atomically renamed, so a failed run leaves no partial data files.
+Every data value is finite except theta = nan for the unstable cells of
+the stability raster.
 """
 
 import argparse
