@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from kanai_cavity.core import FrictionProfile, OscillatorParams, fundamental_solutions
+from kanai_cavity.core import (FrictionProfile, OscillatorParams, flow_products,
+                               fundamental_solutions, magnus4_steps)
 from kanai_cavity.errors import (
     BeamParameterError,
     NearFocalPlaneError,
@@ -391,6 +392,55 @@ def test_gaussian_q_trace_validation():
         gaussian_q_trace(sched, 1.0 - 1j, 10, wavelength=WAVELENGTH)
 
 
+def fixed_products(rows_at, n_max):
+    """A stand-in for ``flow_products`` over ``n_max`` trips, whose product
+    at trip t is ``rows_at(t)`` (the identity at t = 0), however many step
+    matrices a trip holds; it records the number of step matrices per call."""
+    calls = []
+
+    def products(steps, start=(1.0, 0.0, 0.0, 1.0)):
+        count = len(steps[0])
+        calls.append(count)
+        return np.array([(1.0, 0.0, 0.0, 1.0)]
+                        + [rows_at(k * n_max / count)
+                           for k in range(1, count + 1)])
+    return products, calls
+
+
+def test_gaussian_q_lower_half_plane_raises(monkeypatch):
+    """A flow with determinant -1 sends q0 to -q0, below the real axis."""
+    products, _ = fixed_products(lambda t: (1.0, 0.0, 0.0, -1.0), 4)
+    monkeypatch.setattr(wavesim, "flow_products", products)
+    sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
+    with pytest.raises(BeamParameterError, match="upper half plane"):
+        gaussian_q_trace(sched, EIGENBEAM.q, 4, wavelength=WAVELENGTH)
+
+
+def test_gaussian_q_singular_flow_names_the_first_bad_trip(monkeypatch):
+    """p21 q0 + p22 = 0 from trip 3 on: the message names trip 3, and the
+    left flow raises before the right one is built."""
+    products, calls = fixed_products(
+        lambda t: (1.0, 0.0, 0.0, 1.0) if t < 3 else (1.0, 0.0, 0.0, 0.0), 6)
+    monkeypatch.setattr(wavesim, "flow_products", products)
+    sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
+    with pytest.raises(BeamParameterError,
+                       match="beam-parameter flow singular at trip 3$"):
+        gaussian_q_trace(sched, EIGENBEAM.q, 6, wavelength=WAVELENGTH)
+    assert len(calls) == 1
+
+
+def test_gaussian_q_nan_flow_passes_through(monkeypatch):
+    """A NaN q is not a lower-half-plane q: it reaches the caller, whose
+    finite-data check refuses it (exit 3 from the CLI)."""
+    products, _ = fixed_products(lambda t: (math.nan,) * 4, 3)
+    monkeypatch.setattr(wavesim, "flow_products", products)
+    sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
+    trace = gaussian_q_trace(sched, EIGENBEAM.q, 3, wavelength=WAVELENGTH)
+    assert np.isfinite(trace.w1[0]) and np.isfinite(trace.w2[0])
+    assert np.isnan(trace.w1[1:]).all() and np.isnan(trace.w2[1:]).all()
+    assert np.isnan(trace.q_left[1:]).all()
+
+
 # ---------------------------------------------------------------------------
 # overlaps and snapshots
 
@@ -634,3 +684,101 @@ def test_split_step_round_trip_matches_the_first_kernel(n_samples):
                         ref, THETA, m.b, m.c, WAVENUMBER, substeps)
                     case = (m.b, displaced, substeps, trip)
                     assert rel_l2(ref, field) <= 1e-12, case
+
+
+# ---------------------------------------------------------------------------
+# oracle: the gaussian_q flow as first written, with one running product per
+# Magnus step and a per-trip Python loop for q and the spot sizes
+
+
+def reference_flow_trace(q0, b0, c0, kk, friction, n_max, sign):
+    def generator(n):
+        g = friction.evaluate(n)[0]
+        return 0.0, b0 * np.exp(-sign * g), c0 * np.exp(sign * g)
+
+    q_steps = wavesim.Q_STEPS
+    h = 1.0 / q_steps
+    steps = magnus4_steps(np.arange(n_max * q_steps) * h, h, generator,
+                          scale=kk)
+    qs = [q0]
+    trips = flow_products(steps)[q_steps::q_steps].tolist()
+    for trip, (p11, p12, p21, p22) in enumerate(trips, 1):
+        denom = p21 * q0 + p22
+        if abs(denom) < 1e-12:
+            raise BeamParameterError(
+                "beam-parameter flow singular at trip %d" % trip)
+        qs.append((p11 * q0 + p12) / denom)
+    return qs
+
+
+def reference_spot_from_q(q, wavelength):
+    if q.imag <= 0.0:
+        raise BeamParameterError("beam parameter left the upper half plane")
+    return math.sqrt(wavelength * abs(q) ** 2 / (math.pi * q.imag))
+
+
+def reference_gaussian_q_trace(sched, q0, n_max, wavelength):
+    """(q_left, q_right, w1, w2) as lists, one entry per trip."""
+    kk = sched.theta / math.sin(sched.theta)
+    q_right0 = wavesim.beam_round_trip(q0, sched.half_matrix_at(0.0))
+    q_left = reference_flow_trace(q0, sched.b0, sched.c0, kk,
+                                  sched.friction, n_max, +1.0)
+    q_right = reference_flow_trace(q_right0, sched.right_b0, sched.right_c0,
+                                   kk, sched.friction, n_max, -1.0)
+    return (q_left, q_right,
+            [reference_spot_from_q(q, wavelength) for q in q_left],
+            [reference_spot_from_q(q, wavelength) for q in q_right])
+
+
+def seeded_geometry(rng):
+    """A strictly stable geometry in the upper domain (l2 > f), |a| <= 0.9."""
+    while True:
+        geom = ResonatorGeometry(rng.uniform(0.2, 3.0), rng.uniform(1.05, 3.0))
+        info = stability(round_trip_matrix(geom))
+        if info.stable and abs(info.a) <= 0.9:
+            return geom
+
+
+def seeded_q_table(rng, n_end):
+    """A monotone g(n) table over [0, n_end] with nodes off the 1/8-trip
+    grid and flat stretches."""
+    n = [0.0]
+    while n[-1] < n_end:
+        n.append(n[-1] + rng.uniform(1.3, 97.0))
+    steps = np.diff(n) * rng.uniform(0.0, 2e-3, len(n) - 1)
+    steps[rng.random(steps.size) < 0.3] = 0.0
+    return FrictionProfile.tabulated(n, np.concatenate(([0.0],
+                                                        np.cumsum(steps))))
+
+
+def rel_dev(got, ref):
+    ref = np.asarray(ref)
+    return float(np.max(np.abs(np.asarray(got) - ref) / np.abs(ref)))
+
+
+Q_ORACLE_N = (0, 1, 7, 500, 3000)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gaussian_q_trace_matches_the_stepwise_flow(seed):
+    """q on both mirrors and both spot sizes, per trip, against the
+    stepwise flow: constant gamma and a tabulated table with off-grid
+    nodes, the eigenbeam and an off-eigen q0; relative deviation <= 1e-12."""
+    rng = np.random.default_rng(seed)
+    geom = seeded_geometry(rng)
+    eigen_q = eigenmode_beam(round_trip_matrix(geom)).q
+    frictions = (FrictionProfile.constant(rng.uniform(1e-4, 2e-3)),
+                 seeded_q_table(rng, max(Q_ORACLE_N)))
+    for friction in frictions:
+        sched = MirrorSchedule(geom, friction)
+        for q0 in (eigen_q, complex(0.4, 1.7 * eigen_q.imag)):
+            for n_max in Q_ORACLE_N:
+                trace = gaussian_q_trace(sched, q0, n_max,
+                                         wavelength=WAVELENGTH)
+                ref = reference_gaussian_q_trace(sched, q0, n_max,
+                                                 WAVELENGTH)
+                got = (trace.q_left, trace.q_right, trace.w1, trace.w2)
+                case = (friction.kind, q0, n_max)
+                for g, r in zip(got, ref):
+                    assert len(g) == n_max + 1, case
+                    assert rel_dev(g, r) <= 1e-12, case
