@@ -248,8 +248,8 @@ def cmd_schedule(cfg):
     sched, _, run = _setup(cfg)
     n_values = _sample_times(run["n_max"], run["dn"])
     g_values = sched.friction.evaluate(n_values)[0]
-    l1, l2 = sched.positions_at(n_values)
-    a, b, c = sched.elements_at(n_values)
+    l1, l2 = sched._positions(g_values)
+    a, b, c = sched._elements(g_values)
     return {"schedule.csv": _data_csv(
         "schedule.csv",
         ["gamma_n", "l1_over_f", "l2_over_f", "a", "b_over_f", "c_times_f"],

@@ -75,7 +75,10 @@ class MirrorSchedule:
 
     def positions_at(self, n):
         """Closed-form mirror positions (l1(n), l2(n)); vectorized over n."""
-        g, _ = self.friction.evaluate(n)
+        return self._positions(self.friction.evaluate(n)[0])
+
+    def _positions(self, g):
+        """Mirror positions (l1, l2) where the friction exponent is ``g``."""
         f = self.geom0.f
         l2 = f + (self.geom0.l2 - f) * np.exp(g)
         l1 = f * (2.0 * l2 - f * (1.0 - self.a0)) / (2.0 * l2 - 2.0 * f)
@@ -86,9 +89,8 @@ class MirrorSchedule:
         l1, l2 = self.positions_at(float(n))
         return self.geom0.with_positions(l1, l2)
 
-    def _frozen_a_and_scale(self, n):
-        """The constant element a (shaped like g(n)) and e^{g(n)}."""
-        g, _ = self.friction.evaluate(n)
+    def _frozen_a_and_scale(self, g):
+        """The constant element a (shaped like ``g``) and e^{g}."""
         a = self.a0 if np.isscalar(g) else np.full(np.shape(g), self.a0)
         return a, np.exp(g)
 
@@ -98,12 +100,16 @@ class MirrorSchedule:
         Uses the exact exponential scaling b(0) e^{-g}, c(0) e^{+g}; this is
         algebraically identical to rebuilding the matrix at positions_at(n).
         """
-        a, eg = self._frozen_a_and_scale(n)
+        return self._elements(self.friction.evaluate(n)[0])
+
+    def _elements(self, g):
+        """Left-mirror elements (a, b, c) where the friction exponent is g."""
+        a, eg = self._frozen_a_and_scale(g)
         return a, self.b0 / eg, self.c0 * eg
 
     def right_elements_at(self, n):
         """Round-trip elements (a, b2, c2) at the right mirror; vectorized."""
-        a, eg = self._frozen_a_and_scale(n)
+        a, eg = self._frozen_a_and_scale(self.friction.evaluate(n)[0])
         return a, self.right_b0 * eg, self.right_c0 / eg
 
     def matrix_at(self, n, plane="left_mirror"):

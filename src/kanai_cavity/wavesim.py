@@ -482,12 +482,6 @@ def beam_round_trip(q, m):
     return (m.a * q + m.b) / denom
 
 
-def _spot_from_q(q, wavelength):
-    if q.imag <= 0.0:
-        raise BeamParameterError("beam parameter left the upper half plane")
-    return math.sqrt(wavelength * abs(q) ** 2 / (math.pi * q.imag))
-
-
 class GaussianQTrace:
     """Beam parameters and spot sizes on both mirrors, per round trip."""
 
@@ -505,7 +499,9 @@ def _flow_trace(q0, b0, c0, kk, friction, n_max, sign):
     The generator is (theta/sin theta) [[0, b(n)], [c(n), 0]] with
     b(n) = b0 e^{-g}, c(n) = c0 e^{+g} (sign=+1, left mirror) or
     b(n) = b0 e^{+g}, c(n) = c0 e^{-g} (sign=-1, right mirror).  Magnus
-    steps of 1/Q_STEPS trip keep the map symplectic to fourth order.
+    steps of 1/Q_STEPS trip keep the map symplectic to fourth order.  Each
+    trip's steps are composed in step order, for all trips at once, and
+    :func:`flow_products` carries the per-trip matrices from trip to trip.
     """
     def generator(n):
         g = friction.evaluate(n)[0]
@@ -514,15 +510,21 @@ def _flow_trace(q0, b0, c0, kk, friction, n_max, sign):
     h = 1.0 / Q_STEPS
     steps = magnus4_steps(np.arange(n_max * Q_STEPS) * h, h, generator,
                           scale=kk)
-    qs = [q0]
-    trips = flow_products(steps)[Q_STEPS::Q_STEPS].tolist()
-    for trip, (p11, p12, p21, p22) in enumerate(trips, 1):
-        denom = p21 * q0 + p22
-        if abs(denom) < 1e-12:
-            raise BeamParameterError(
-                "beam-parameter flow singular at trip %d" % trip)
-        qs.append((p11 * q0 + p12) / denom)
-    return qs
+    e11, e12, e21, e22 = (e.reshape(n_max, Q_STEPS).T for e in steps)
+    p11, p12, p21, p22 = e11[0], e12[0], e21[0], e22[0]
+    for j in range(1, Q_STEPS):
+        p11, p12, p21, p22 = (e11[j] * p11 + e12[j] * p21,
+                              e11[j] * p12 + e12[j] * p22,
+                              e21[j] * p11 + e22[j] * p21,
+                              e21[j] * p12 + e22[j] * p22)
+    p11, p12, p21, p22 = flow_products((p11, p12, p21, p22)).T
+    denom = p21 * q0 + p22
+    # a NaN denominator is not singular: the caller's finite check refuses it
+    singular = np.flatnonzero(np.abs(denom[1:]) < 1e-12)
+    if singular.size:
+        raise BeamParameterError(
+            "beam-parameter flow singular at trip %d" % (singular[0] + 1))
+    return (p11 * q0 + p12) / denom
 
 
 def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
@@ -545,8 +547,10 @@ def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
                          sched.friction, n_max, +1.0)
     q_right = _flow_trace(q_right0, sched.right_b0, sched.right_c0, kk,
                           sched.friction, n_max, -1.0)
-    w1 = [_spot_from_q(q, wavelength) for q in q_left]
-    w2 = [_spot_from_q(q, wavelength) for q in q_right]
+    if (q_left.imag <= 0.0).any() or (q_right.imag <= 0.0).any():
+        raise BeamParameterError("beam parameter left the upper half plane")
+    w1, w2 = (np.sqrt(wavelength * np.abs(q) ** 2 / (math.pi * q.imag))
+              for q in (q_left, q_right))
     return GaussianQTrace(np.arange(n_max + 1), q_left, q_right, w1, w2)
 
 

@@ -120,6 +120,22 @@ def test_schedule_csv_follows_closed_form(tmp_path):
     assert np.max(np.abs(rows["a"] - rows["a"][0])) < 1e-10
 
 
+def test_schedule_evaluates_friction_once(tmp_path, monkeypatch):
+    """g(n) is evaluated once on the sample times and shared by the
+    positions and the elements."""
+    calls = []
+    evaluate = kanai_cavity.FrictionProfile.evaluate
+
+    def counted(self, n):
+        calls.append(np.size(n))
+        return evaluate(self, n)
+    monkeypatch.setattr(kanai_cavity.FrictionProfile, "evaluate", counted)
+    cfg = write_config(tmp_path, run={"n_max": 300, "dn": 1})
+    assert cli.main(["schedule", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls == [301]
+
+
 def test_schedule_with_tabulated_friction(tmp_path):
     table = tmp_path / "gtable.csv"
     n = np.arange(0.0, 101.0)
