@@ -23,8 +23,7 @@ from .errors import (BeamParameterError, ContractViolationError, DomainError,
                      InvalidScheduleError, KanaiCavityError, MappingError,
                      NearCausticError, NearFocalPlaneError,
                      NearInstabilityError, NumericalError, ResolutionError,
-                     SamplingError, SingularJacobianError,
-                     UnsupportedRegimeError, ValidationError)
+                     SamplingError, UnsupportedRegimeError, ValidationError)
 from .kanai import (GaussianWavepacket, QuantumParams, crosscheck_engines,
                     free_gaussian, kanai_propagate, map_parameters, moments)
 from .paraxial import (AbcdMatrix, ResonatorGeometry, StabilityInfo,
@@ -34,35 +33,31 @@ from .raysim import (RayState, RayTrace, characteristic_roots,
                      courant_snyder_invariant, fit_damped_oscillation,
                      fit_envelope_rate, iterate_ray, iterate_ray_difference,
                      lissajous, pattern_radius)
-from .schedule import MirrorSchedule, integrate_schedule_ode
+from .schedule import MirrorSchedule
 from .wavesim import (CollapseTrace, ComplexField, GaussianBeam,
                       GaussianQTrace, beam_round_trip, eigenmode_beam,
-                      fresnel_round_trip, gaussian_q_trace,
-                      load_field_snapshot, overlap, phase_aligned_l2,
-                      run_collapse, sample_beam, save_field_snapshot,
+                      fresnel_round_trip, gaussian_q_trace, overlap,
+                      phase_aligned_l2, run_collapse, sample_beam,
                       split_step_round_trip, spot_size)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbcdMatrix", "BeamParameterError", "ClassicalSolution", "CollapseTrace",
-    "ComplexField", "ContractViolationError", "DomainError",
-    "FrictionProfile", "GaussianBeam", "GaussianQTrace", "GaussianWavepacket",
+    "ComplexField", "ContractViolationError", "DomainError", "FrictionProfile",
+    "GaussianBeam", "GaussianQTrace", "GaussianWavepacket",
     "InvalidScheduleError", "KanaiCavityError", "MappingError",
     "MirrorSchedule", "NearCausticError", "NearFocalPlaneError",
     "NearInstabilityError", "NumericalError", "OscillatorParams",
     "QuantumParams", "RayState", "RayTrace", "ResolutionError",
-    "ResonatorGeometry", "SamplingError", "SingularJacobianError",
-    "StabilityInfo", "StabilityMap", "UnsupportedRegimeError",
-    "ValidationError", "beam_round_trip", "characteristic_roots",
-    "courant_snyder_invariant", "crosscheck_engines", "eigenmode_beam",
-    "fit_damped_oscillation", "fit_envelope_rate", "free_gaussian",
-    "fresnel_round_trip", "fundamental_solutions", "gaussian_q_trace",
-    "half_trip_matrix", "integrate_schedule_ode", "iterate_ray",
-    "iterate_ray_difference", "kanai_propagate", "lissajous",
-    "load_field_snapshot", "map_parameters", "moments", "overlap",
-    "pattern_radius", "phase_aligned_l2", "round_trip_elements",
-    "round_trip_matrix", "run_collapse", "sample_beam",
-    "save_field_snapshot", "split_step_round_trip", "spot_size", "stability",
-    "stability_map",
+    "ResonatorGeometry", "SamplingError", "StabilityInfo", "StabilityMap",
+    "UnsupportedRegimeError", "ValidationError", "beam_round_trip",
+    "characteristic_roots", "courant_snyder_invariant", "crosscheck_engines",
+    "eigenmode_beam", "fit_damped_oscillation", "fit_envelope_rate",
+    "free_gaussian", "fresnel_round_trip", "fundamental_solutions",
+    "gaussian_q_trace", "half_trip_matrix", "iterate_ray",
+    "iterate_ray_difference", "kanai_propagate", "lissajous", "map_parameters",
+    "moments", "overlap", "pattern_radius", "phase_aligned_l2",
+    "round_trip_elements", "round_trip_matrix", "run_collapse", "sample_beam",
+    "split_step_round_trip", "spot_size", "stability", "stability_map",
 ]

@@ -10,8 +10,9 @@ Commands::
     kanai-cavity crosscheck --config cfg.json [--out DIR]
 
 Every command also accepts ``--jobs N`` (N >= 1), which has no effect.
-Exit codes: 0 success, 2 validation error (bad config, bad domain), 3
-numerical failure (singular kernel, aliasing, caustic, non-finite data).
+Exit codes: 0 success, 2 validation error (bad config, bad domain, a run
+too large for memory), 3 numerical failure (singular kernel, aliasing,
+caustic, non-finite data).
 
 The config is a single JSON document with a ``schema_version`` field; see
 the README for the full schema.  A key outside it is refused (exit 2).
@@ -217,8 +218,11 @@ def _data_csv(filename, header, columns, nan_column=None):
 
 
 def _sample_times(n_max, dn):
-    count = int(math.floor(n_max / dn + 1e-9)) + 1
-    return np.arange(count) * dn
+    steps = n_max / dn + 1e-9
+    if not math.isfinite(steps) or steps >= np.iinfo(np.intp).max:
+        _fail("run.n_max / run.dn = %g samples is more than an array can hold"
+              % (n_max / dn))
+    return np.arange(math.floor(steps) + 1) * dn
 
 
 def cmd_stability(cfg):
@@ -429,6 +433,10 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: the run does not fit in memory: %s" % exc,
+              file=sys.stderr)
         return 2
     return 0
 

@@ -23,7 +23,6 @@ self-test.
 """
 
 import array
-import bisect
 import csv
 import math
 
@@ -91,9 +90,6 @@ class FrictionProfile:
             self.n_max = float(n[-1])
             self.nodes = n.copy()
             self._coef = _pchip_coefficients(n, g)
-            # Python-float copies for the one-point path of evaluate().
-            self._node_list = n.tolist()
-            self._rows = self._coef.T.tolist()
         else:
             raise ValidationError("unknown friction kind %r" % (kind,))
         self.kind = kind
@@ -135,20 +131,11 @@ class FrictionProfile:
         """
         arr = np.asarray(n, dtype=float)
         scalar = np.isscalar(n) or (isinstance(n, np.ndarray) and n.ndim == 0)
+        self._check_domain(arr)
         if self.kind == "constant":
-            self._check_domain(arr)
             g = self.gamma * arr
             gdot = np.full_like(arr, self.gamma)
-        elif arr.size == 1:
-            # The ODE branch queries one point at a time; Python floats do
-            # the same IEEE operations as the array path at a fraction of
-            # the cost.
-            g, gdot = self._evaluate_one(arr)
-            if scalar:
-                return g, gdot
-            return np.array(g, ndmin=arr.ndim), np.array(gdot, ndmin=arr.ndim)
         else:
-            self._check_domain(arr)
             flat = np.minimum(arr, self.n_max).ravel()
             # Interval k holds the query: the number of interior nodes <= n.
             k = np.searchsorted(self.nodes[1:-1], flat, side="right")
@@ -166,16 +153,6 @@ class FrictionProfile:
             raise DomainError(
                 "n = %s outside tabulated friction range [0, %g]"
                 % (np.max(arr), self.n_max))
-
-    def _evaluate_one(self, arr):
-        """``(g, gdot)`` as floats at the single point held by ``arr``."""
-        x = arr.item()
-        if x < 0.0 or x > self.n_max * (1.0 + 1e-12):
-            self._check_domain(arr)
-        x = self.n_max if x > self.n_max else x
-        nodes = self._node_list
-        k = bisect.bisect_right(nodes, x, 1, len(nodes) - 1) - 1
-        return _pchip_values(*self._rows[k], x - nodes[k])
 
     def __repr__(self):
         if self.kind == "constant":
@@ -226,7 +203,7 @@ def _pchip_coefficients(x, y):
 
 
 def _pchip_values(c0, c1, c2, c3, s):
-    """``(g, gdot)`` of the cubic at offset ``s``, floats or arrays alike.
+    """``(g, gdot)`` of the cubics at offsets ``s``.
 
     The terms are summed in the order of scipy's ``_ppoly.evaluate``,
     starting from 0.0, so the sign of a zero result matches as well.
@@ -363,17 +340,9 @@ class ClassicalSolution:
             self._t, self._phi = flow
 
     def _check_domain(self, arr):
-        limit = self.n_max * (1.0 + 1e-12)
-        if arr.ndim == 0:
-            # Scalar evaluations dominate kanai_propagate and moments;
-            # comparing a float skips two array reductions.
-            value = float(arr)
-            below, above = value < 0.0, value > limit
-        else:
-            below, above = np.any(arr < 0.0), np.any(arr > limit)
-        if below:
+        if np.any(arr < 0.0):
             raise DomainError("fundamental solutions are defined for n >= 0")
-        if above:
+        if np.any(arr > self.n_max * (1.0 + 1e-12)):
             raise DomainError(
                 "n = %s outside integrated range [0, %g]; re-integrate with a "
                 "larger n_max" % (np.max(arr), self.n_max))

@@ -7,7 +7,7 @@ codes:
   unsupported parameter regimes detected *before* any heavy computation
   (CLI exit code 2).
 * :class:`NumericalError` -- failures that surface while a computation is
-  running: kernel singularities, aliasing, caustics, singular Jacobians
+  running: kernel singularities, aliasing, caustics, non-finite data
   (CLI exit code 3).
 """
 
@@ -62,10 +62,6 @@ class SamplingError(NumericalError):
 
 class NearCausticError(NumericalError):
     """Analytic propagator evaluated too close to a zero of u2 (a caustic)."""
-
-
-class SingularJacobianError(NumericalError):
-    """Jacobian of the matrix elements w.r.t. mirror positions is singular."""
 
 
 class BeamParameterError(NumericalError):

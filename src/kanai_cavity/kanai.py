@@ -29,8 +29,9 @@ from .core import OscillatorParams, fundamental_solutions
 from .errors import (MappingError, NearCausticError, NumericalError,
                      ValidationError)
 from .paraxial import AbcdMatrix, round_trip_matrix, stability
-from .wavesim import (ComplexField, GaussianBeam, fresnel_round_trip,
-                      phase_aligned_l2, sample_beam, spot_size)
+from .wavesim import (DEFAULT_GRID_N, DEFAULT_WINDOW_FACTOR, ComplexField,
+                      GaussianBeam, fresnel_round_trip, phase_aligned_l2,
+                      sample_beam, spot_size)
 
 
 class QuantumParams:
@@ -231,7 +232,8 @@ def quantum_equation_coefficients(params, g):
 
 
 def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
-                       width_scale=1.0, grid_n=4096, window_factor=16.0):
+                       width_scale=1.0, grid_n=DEFAULT_GRID_N,
+                       window_factor=DEFAULT_WINDOW_FACTOR):
     """Propagate one Gaussian through the analytic and diffraction engines.
 
     The initial state is the cavity eigenmode (optionally width-scaled,

@@ -35,13 +35,6 @@ class AbcdMatrix:
         self.c = float(c)
         self.d = float(d)
 
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def as_array(self):
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
     @property
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -80,11 +73,6 @@ def thin_lens(f):
     return AbcdMatrix(1.0, 0.0, -1.0 / float(f), 1.0)
 
 
-def flat_mirror():
-    """Flat mirror (identity on the transverse state)."""
-    return AbcdMatrix.identity()
-
-
 class ResonatorGeometry:
     """Lens-in-a-plane-cavity geometry: arm lengths l1, l2 and focal length f.
 
@@ -118,11 +106,6 @@ class ResonatorGeometry:
     def with_positions(self, l1, l2):
         """Same focal length, new arm lengths."""
         return ResonatorGeometry(l1, l2, self.f)
-
-    def scaled(self, f_new):
-        """Same shape (s1, s2) expressed with a different focal length."""
-        ratio = float(f_new) / self.f
-        return ResonatorGeometry(self.l1 * ratio, self.l2 * ratio, f_new)
 
     def __repr__(self):
         return "ResonatorGeometry(l1=%r, l2=%r, f=%r)" % (self.l1, self.l2, self.f)
@@ -224,20 +207,6 @@ class StabilityMap:
         self.a_values = a_values
         self.stable = stable
         self.theta = theta
-
-    def count_stable_domains(self):
-        """Number of 4-connected components of the strictly stable set.
-
-        Strict interior |a| < 1 is used so that isolated marginal points on
-        the |a| = 1 boundary cannot bridge two domains.
-        """
-        # Imported here: only tests count domains, and the CLI never does.
-        from scipy import ndimage
-
-        interior = np.abs(self.a_values) < 1.0
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        _, count = ndimage.label(interior, structure=structure)
-        return count
 
     def columns(self):
         """Flat (l1/f, l2/f, stable, theta) columns, l1 outer, l2 inner."""

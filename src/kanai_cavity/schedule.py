@@ -15,17 +15,12 @@ damped oscillator: ray amplitudes and beam spot sizes on the left mirror
 contract like exp(-g/2).  On the right mirror the scaling is reversed
 (b2 grows, c2 shrinks), which is why the conjugate-plane spot grows while the
 product of the two spots stays constant.
-
-The closed forms above are exact; the first-order system they solve (mirror
-velocities obtained by inverting the Jacobian of (b, c) with respect to
-(l1, l2)) is integrated numerically in :func:`integrate_schedule_ode` purely
-as a verification oracle.
 """
 
 import numpy as np
 
 from .core import FrictionProfile
-from .errors import InvalidScheduleError, SingularJacobianError, ValidationError
+from .errors import InvalidScheduleError, ValidationError
 from .paraxial import (ResonatorGeometry, half_trip_matrix,
                        right_mirror_elements, round_trip_elements,
                        round_trip_matrix, stability)
@@ -119,49 +114,6 @@ class MirrorSchedule:
     def half_matrix_at(self, n):
         """Half-trip matrix (left mirror to right mirror) at time n."""
         return half_trip_matrix(self.geometry_at(n))
-
-
-def _schedule_rhs_factory(friction, f):
-    def rhs(n, y):
-        s1, s2 = y[0] / f, y[1] / f
-        _, gdot = friction.evaluate(n)
-        h = s1 + s2 - s1 * s2
-        b = 2.0 * (1.0 - s1) * h
-        c = -2.0 * (1.0 - s2)
-        db_ds1 = -2.0 * h + 2.0 * (1.0 - s1) * (1.0 - s2)
-        db_ds2 = 2.0 * (1.0 - s1) ** 2
-        dc_ds2 = 2.0
-        det = db_ds1 * dc_ds2
-        if abs(det) < 1e-12:
-            raise SingularJacobianError(
-                "Jacobian of (b, c) w.r.t. (l1, l2) is singular at "
-                "n=%g, l1/f=%g, l2/f=%g" % (n, s1, s2))
-        ds2 = c * gdot / dc_ds2
-        ds1 = (-b * gdot - db_ds2 * ds2) / db_ds1
-        return [ds1 * f, ds2 * f]
-    return rhs
-
-
-def integrate_schedule_ode(geom0, friction, n_max, dn, rtol=1e-10, atol=1e-12):
-    """Integrate the mirror-velocity system as an independent oracle.
-
-    The system is dL/dn = J^{-1} (-b, c)^T gdot with J the Jacobian of
-    (b, c) with respect to (l1, l2); its solution must agree with the
-    closed-form trajectories.  Returns (n_values, l1_values, l2_values).
-    """
-    # Imported here: only this oracle needs scipy, and the CLI never calls it.
-    from scipy.integrate import solve_ivp
-
-    if n_max <= 0.0 or dn <= 0.0:
-        raise ValidationError("n_max and dn must be positive")
-    MirrorSchedule(geom0, friction)  # validates the initial state
-    n_values = np.arange(0.0, float(n_max) + 0.5 * dn, dn)
-    rhs = _schedule_rhs_factory(friction, geom0.f)
-    result = solve_ivp(rhs, (0.0, float(n_values[-1])), [geom0.l1, geom0.l2],
-                       method="DOP853", t_eval=n_values, rtol=rtol, atol=atol)
-    if not result.success:
-        raise ValidationError("schedule ODE integration failed: %s" % result.message)
-    return result.t, result.y[0], result.y[1]
 
 
 def mirror_speed_estimate(sched, f_meters, n):

@@ -22,12 +22,10 @@ a fundamental Gaussian equals the 1/e^2 intensity radius.
 
 import cmath
 import functools
-import json
 import math
 
 import numpy as np
 
-from ._formats import atomic_write_bytes, atomic_write_text, json_text
 from .core import flow_products, magnus4_steps
 from .errors import (BeamParameterError, NearFocalPlaneError,
                      NearInstabilityError, ResolutionError, SamplingError,
@@ -256,41 +254,6 @@ def phase_aligned_l2(f1, f2):
     n2 = f2.norm_sq()
     ip = abs(inner_product(f1, f2))
     return math.sqrt(max(n1 + n2 - 2.0 * ip, 0.0) / n1)
-
-
-def save_field_snapshot(field, path, n=0):
-    """Write samples as little-endian interleaved (re, im) float64 + sidecar.
-
-    The JSON sidecar (same path with ``.json`` appended) records the grid
-    metadata {n, dx, x0, wavelength, plane_tag, count}.
-    """
-    arr = np.empty(2 * field.n_samples, dtype="<f8")
-    arr[0::2] = field.samples.real
-    arr[1::2] = field.samples.imag
-    atomic_write_bytes(path, arr.tobytes())
-    sidecar = {"n": int(n), "dx": field.dx, "x0": field.x0,
-               "wavelength": field.wavelength, "plane_tag": field.plane_tag,
-               "count": field.n_samples}
-    atomic_write_text(str(path) + ".json", json_text(sidecar))
-
-
-def load_field_snapshot(path):
-    """Read a snapshot written by :func:`save_field_snapshot`.
-
-    Returns ``(field, n)``.
-    """
-    with open(str(path) + ".json", "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    count = int(meta["count"])
-    arr = np.fromfile(path, dtype="<f8")
-    if arr.size != 2 * count:
-        raise ValidationError(
-            "snapshot %s holds %d values, sidecar expects %d"
-            % (path, arr.size, 2 * count))
-    samples = arr[0::2] + 1j * arr[1::2]
-    field = ComplexField(samples, float(meta["dx"]), float(meta["x0"]),
-                         float(meta["wavelength"]), str(meta["plane_tag"]))
-    return field, int(meta["n"])
 
 
 def _check_chirp_sampling(field, a_elem, b_elem):

@@ -52,6 +52,7 @@ from kanai_cavity.wavesim import (
     run_collapse,
     sample_beam,
 )
+from oracles import count_stable_domains
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
 MATRIX0 = round_trip_matrix(GEOM0)
@@ -82,7 +83,7 @@ def _below(label, value, bound):
 def test_criterion_01_stability_geometry(capsys):
     t0 = time.perf_counter()
     theta_err = abs(THETA - 1.875)
-    domains = stability_map((0.0, 4.0), (0.0, 4.0), 400).count_stable_domains()
+    domains = count_stable_domains(stability_map((0.0, 4.0), (0.0, 4.0), 400))
     runtime = time.perf_counter() - t0
     checks = [
         _below("theta_err", theta_err, 5e-3),

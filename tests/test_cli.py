@@ -461,6 +461,23 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command,
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command, run", [
+    ("schedule", {"n_max": 3000, "dn": 1e-320}),
+    ("schedule", {"n_max": 3000, "dn": 1e-300}),
+    ("ray", {"n_max": 1e15, "dn": 1}),
+])
+def test_oversize_runs_exit_2(tmp_path, capsys, command, run):
+    # Each request is refused before any of its arrays is allocated: the
+    # sample count overflows, exceeds the index range, or asks for petabytes.
+    cfg = write_config(tmp_path, run=run)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_outputs_are_deterministic(tmp_path):
     cfg = write_config(tmp_path,
                        run={"n_max": 200, "dn": 1, "engine": "gaussian_q"})
@@ -530,15 +547,53 @@ def _child_env():
     return env
 
 
-def test_cli_import_loads_no_scipy():
+#: Refuses every scipy import, runs the given commands on one config and
+#: prints {command: [exit code, {file: sha256}]} and the scipy modules loaded.
+_NO_SCIPY_CHILD = """
+import hashlib, json, pathlib, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is refused: " + name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from kanai_cavity import cli
+
+config, root = sys.argv[1], pathlib.Path(sys.argv[2])
+runs = {}
+for command in sys.argv[3:]:
+    out = root / command
+    code = cli.main([command, "--config", config, "--out", str(out)])
+    runs[command] = [code, {path.name: hashlib.sha256(path.read_bytes())
+                            .hexdigest() for path in sorted(out.iterdir())}]
+print(json.dumps({"runs": runs, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # The package runs on numpy alone: with scipy refused, every README
+    # command writes its golden bytes, and numpy is the one declared
+    # runtime dependency.
+    from test_golden import README_DIGESTS, README_SCENARIO
+
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(README_SCENARIO))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, kanai_cavity.cli\n"
-         "print(sorted(m for m in sys.modules\n"
-         "             if m == 'scipy' or m.startswith('scipy.')))"],
+        [sys.executable, "-c", _NO_SCIPY_CHILD, str(config), str(tmp_path)]
+        + sorted(README_DIGESTS),
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    result = json.loads(proc.stdout)
+    assert result["scipy"] == []
+    assert result["runs"] == {command: [0, digests]
+                              for command, digests in README_DIGESTS.items()}
+    toml = tomllib or pytest.importorskip("tomli")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        project = toml.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
 
 
 def test_console_script_entry_point(tmp_path):

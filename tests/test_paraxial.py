@@ -9,7 +9,6 @@ from kanai_cavity.errors import ContractViolationError, ValidationError
 from kanai_cavity.paraxial import (
     AbcdMatrix,
     ResonatorGeometry,
-    flat_mirror,
     half_trip_matrix,
     propagation,
     right_mirror_elements,
@@ -19,12 +18,17 @@ from kanai_cavity.paraxial import (
     stability_map,
     thin_lens,
 )
+from oracles import count_stable_domains
 
 REFERENCE_GEOMETRY = ResonatorGeometry(1.7, 1.5)
 
 
+def entries(m):
+    return np.array([[m.a, m.b], [m.c, m.d]])
+
+
 def assert_matrix_close(m, expected, tol=1e-12):
-    got = m.as_array()
+    got = entries(m)
     assert np.max(np.abs(got - np.asarray(expected))) < tol, got
 
 
@@ -43,10 +47,6 @@ def test_cancelling_lenses():
 def test_composition_is_unimodular():
     m = propagation(2.0) @ thin_lens(1.0)
     assert abs(m.det - 1.0) < 1e-12
-
-
-def test_flat_mirror_is_identity():
-    assert_matrix_close(flat_mirror(), np.eye(2))
 
 
 def test_elementary_validation():
@@ -78,7 +78,7 @@ def test_zero_arm_geometry():
 
 
 def test_physical_focal_length_scaling():
-    geom = REFERENCE_GEOMETRY.scaled(2.0)
+    geom = ResonatorGeometry(1.7 * 2.0, 1.5 * 2.0, 2.0)
     assert geom.f == 2.0 and geom.s1 == pytest.approx(1.7)
     m = round_trip_matrix(geom)
     assert abs(m.a + 0.30) < 1e-12
@@ -134,7 +134,7 @@ def test_half_trips_compose_to_round_trip():
     forward = half_trip_matrix(geom)
     backward = propagation(geom.l1) @ thin_lens(geom.f) @ propagation(geom.l2)
     m = backward @ forward
-    assert_matrix_close(m, round_trip_matrix(geom).as_array())
+    assert_matrix_close(m, entries(round_trip_matrix(geom)))
 
 
 def test_right_mirror_round_trip():
@@ -192,7 +192,7 @@ def test_stability_map_reference_points():
 
 def test_stability_map_two_domains():
     res = stability_map(resolution=400)
-    assert res.count_stable_domains() == 2
+    assert count_stable_domains(res) == 2
 
 
 def test_stability_map_unstable_cells_have_nan_theta():

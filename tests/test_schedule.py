@@ -14,9 +14,9 @@ from kanai_cavity.paraxial import ResonatorGeometry, round_trip_matrix
 from kanai_cavity.schedule import (
     SPEED_OF_LIGHT as SCHEDULE_SPEED_OF_LIGHT,
     MirrorSchedule,
-    integrate_schedule_ode,
     mirror_speed_estimate,
 )
+from oracles import integrate_schedule_ode
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
 

@@ -29,12 +29,10 @@ from kanai_cavity.wavesim import (
     fresnel_round_trip,
     gaussian_q_trace,
     inner_product,
-    load_field_snapshot,
     overlap,
     phase_aligned_l2,
     run_collapse,
     sample_beam,
-    save_field_snapshot,
     split_step_round_trip,
     spot_size,
 )
@@ -468,28 +466,6 @@ def test_inner_product_requires_matching_grids():
         inner_product(f1, f2)
     assert abs(overlap(f1, f1) - 1.0) < 1e-12
     assert phase_aligned_l2(f1, f1) == 0.0
-
-
-def test_snapshot_roundtrip(tmp_path):
-    field = eigen_field(512)
-    path = tmp_path / "field.bin"
-    save_field_snapshot(field, path, n=42)
-    back, n_back = load_field_snapshot(path)
-    assert n_back == 42
-    assert np.array_equal(back.samples, field.samples)
-    assert back.dx == field.dx and back.x0 == field.x0
-    assert back.wavelength == field.wavelength
-    assert back.plane_tag == field.plane_tag
-
-
-def test_snapshot_size_mismatch_detected(tmp_path):
-    field = eigen_field(512)
-    path = tmp_path / "field.bin"
-    save_field_snapshot(field, path)
-    with open(path, "ab") as handle:
-        handle.write(b"\x00" * 16)
-    with pytest.raises(ValidationError):
-        load_field_snapshot(path)
 
 
 # ---------------------------------------------------------------------------
