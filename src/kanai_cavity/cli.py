@@ -12,7 +12,7 @@ Commands::
 Every command also accepts ``--jobs N`` (N >= 1), which has no effect.
 Exit codes: 0 success, 2 validation error (bad config, bad domain, a run
 too large for memory), 3 numerical failure (singular kernel, aliasing,
-caustic, non-finite data).
+caustic, non-finite data, floating-point overflow).
 
 The config is a single JSON document with a ``schema_version`` field; see
 the README for the full schema.  A key outside it is refused (exit 2).
@@ -67,12 +67,14 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail("cannot read config %s: %s" % (path, exc))
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail("config %s is not valid JSON: %s" % (path, exc))
+    except RecursionError:
+        _fail("config %s is nested too deeply to parse" % path)
     if not isinstance(cfg, dict):
         _fail("config root must be a JSON object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
@@ -103,12 +105,18 @@ def _section(cfg, name, required=False):
     return sec
 
 
+def _is_finite_number(value):
+    """A JSON number inside the float range; NaN, infinities and integers
+    beyond it compare false, and a bool is no number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _number(sec, name, key, default=None, minimum=None, integer=False):
     value = sec.get(key, default)
     if value is None:
         _fail("%s.%s is required" % (name, key))
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not _is_finite_number(value):
         _fail("%s.%s must be a finite number" % (name, key))
     if integer:
         if float(value) != int(value):
@@ -124,8 +132,7 @@ def _number(sec, name, key, default=None, minimum=None, integer=False):
 def _pair(sec, name, key, default):
     value = sec.get(key, list(default))
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(v) for v in value)):
+            or not all(_is_finite_number(v) for v in value)):
         _fail("%s.%s must be a pair of finite numbers" % (name, key))
     lo, hi = float(value[0]), float(value[1])
     if hi < lo:
@@ -169,6 +176,8 @@ def _build_friction(cfg, config_dir):
 def _run_section(cfg):
     run = _section(cfg, "run")
     n_max = _number(run, "run", "n_max", default=3000, minimum=0, integer=True)
+    if n_max > 2 ** 53:
+        _fail("run.n_max must be <= 2**53 (trip indices are float64)")
     dn = _number(run, "run", "dn", default=1.0)
     if dn <= 0.0:
         _fail("run.dn must be > 0")
@@ -425,7 +434,7 @@ def main(argv=None):
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     except KanaiCavityError as exc:

@@ -39,6 +39,8 @@ _START_STEPS = 8
 _MAX_HALVINGS = 6
 #: Largest change under one halving, relative to max |Phi|, that converges.
 _FLOW_TOL = 1e-11
+#: Magnus steps per round trip of :func:`trip_flow`.
+Q_STEPS = 8
 
 
 class FrictionProfile:
@@ -107,16 +109,17 @@ class FrictionProfile:
     @classmethod
     def from_csv(cls, path):
         """Load a tabulated profile from a two-column CSV with header ``n,g``."""
-        with open(path, "r", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError("friction CSV %s is empty" % path)
-            if [col.strip() for col in header] != ["n", "g"]:
-                raise ValidationError(
-                    "friction CSV %s must have header 'n,g', got %r" % (path, header))
-            rows = [row for row in reader if row]
+        try:
+            with open(path, "r", newline="", encoding="utf-8") as handle:
+                header, *rows = list(csv.reader(handle)) or [None]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError("cannot parse friction CSV %s: %s" % (path, exc))
+        if header is None:
+            raise ValidationError("friction CSV %s is empty" % path)
+        if [col.strip() for col in header] != ["n", "g"]:
+            raise ValidationError(
+                "friction CSV %s must have header 'n,g', got %r" % (path, header))
+        rows = [row for row in rows if row]
         try:
             n = np.array([float(row[0]) for row in rows])
             g = np.array([float(row[1]) for row in rows])
@@ -232,11 +235,6 @@ class OscillatorParams:
         self.friction = friction
 
     @property
-    def gamma(self):
-        """Constant friction rate, or None for tabulated profiles."""
-        return self.friction.gamma
-
-    @property
     def reduced_frequency(self):
         """Omega = sqrt(omega^2 - gamma^2/4) for constant underdamped friction."""
         if self.friction.kind != "constant":
@@ -253,23 +251,23 @@ class OscillatorParams:
         return "OscillatorParams(omega=%g, friction=%r)" % (self.omega, self.friction)
 
 
-def magnus4_steps(start, h, generator, scale=1.0):
+def magnus4_steps(start, h, generator):
     """Step matrices of the fourth-order Magnus scheme for a 2x2 linear flow.
 
     The steps run from ``start`` to ``start + h`` (arrays, one value per
     step, or scalars that broadcast).  The flow's generator at times ``t``
-    is ``scale * [[alpha, beta], [gamma, -alpha]]`` with ``(alpha, beta,
-    gamma) = generator(t)``; it is sampled at the two Gauss nodes of each
-    step.  The Magnus generator of a step (Blanes, Casas, Oteo & Ros, Phys.
-    Rep. 470, 2009) is traceless, so its exponential is taken in closed
-    form and has unit determinant to rounding.
+    is ``[[alpha, beta], [gamma, -alpha]]`` with ``(alpha, beta, gamma) =
+    generator(t)``; it is sampled at the two Gauss nodes of each step.  The
+    Magnus generator of a step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+    2009) is traceless, so its exponential is taken in closed form and has
+    unit determinant to rounding.
 
     Returns the step matrix entries ``(e11, e12, e21, e22)`` as arrays.
     """
     a1, b1, c1 = generator(start + _GAUSS_NODES[0] * h)
     a2, b2, c2 = generator(start + _GAUSS_NODES[1] * h)
-    half = 0.5 * h * scale
-    comm = math.sqrt(3.0) * h * h / 12.0 * scale * scale
+    half = 0.5 * h
+    comm = math.sqrt(3.0) * h * h / 12.0
     a = np.atleast_1d(half * (a1 + a2) + comm * (b2 * c1 - b1 * c2))
     b = half * (b1 + b2) + 2.0 * comm * (a2 * b1 - a1 * b2)
     c = half * (c1 + c2) + 2.0 * comm * (a1 * c2 - a2 * c1)
@@ -317,6 +315,26 @@ def _oscillator_steps(friction, omega_sq, lo, hi):
     steps = magnus4_steps(
         lo, hi - lo, lambda t: (0.5 * friction.evaluate(t)[1], 1.0, -omega_sq))
     return [decay * e for e in steps]
+
+
+def trip_flow(friction, omega_sq, n_max):
+    """Fundamental solutions at the integer trips 0 ... n_max, fixed step.
+
+    Row n of the (n_max + 1, 4) result holds (u2, u1, u2', u1') at trip n:
+    the matrix that carries (x, x') from trip 0 to trip n.  Each trip's
+    Q_STEPS steps of :func:`_oscillator_steps` are composed in step order,
+    for all trips at once, and :func:`flow_products` carries the per-trip
+    matrices from trip to trip.  With constant friction the traceless
+    generator is constant, so each step, and the flow, is exact to rounding.
+    """
+    t = np.arange(n_max * Q_STEPS + 1) / Q_STEPS
+    steps = [e.reshape(n_max, Q_STEPS).T for e in
+             _oscillator_steps(friction, omega_sq, t[:-1], t[1:])]
+    p11, p12, p21, p22 = (e[0] for e in steps)
+    for e11, e12, e21, e22 in zip(*(e[1:] for e in steps)):
+        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
+                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
+    return flow_products((p11, p12, p21, p22))
 
 
 class ClassicalSolution:

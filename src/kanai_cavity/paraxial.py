@@ -116,21 +116,17 @@ def half_trip_matrix(geom):
     return propagation(geom.l2) @ thin_lens(geom.f) @ propagation(geom.l1)
 
 
-def _reverse_half_trip_matrix(geom):
-    """One-way pass right mirror -> lens -> left mirror: P(l1) Lens P(l2)."""
-    return propagation(geom.l1) @ thin_lens(geom.f) @ propagation(geom.l2)
-
-
 def round_trip_matrix(geom, plane="left_mirror"):
     """Round-trip ray matrix referenced at a flat end mirror.
 
     For the left mirror the trip is P(l1) Lens P(l2) . P(l2) Lens P(l1)
     (rightmost factor acts first); for the right mirror the two half trips
     compose in the opposite order.  Both choices give a canonical matrix
-    (a = d) with the same trace.
+    (a = d) with the same trace.  The backward half trip is the forward one
+    of the cavity with l1 and l2 swapped.
     """
     forward = half_trip_matrix(geom)
-    backward = _reverse_half_trip_matrix(geom)
+    backward = half_trip_matrix(geom.with_positions(geom.l2, geom.l1))
     if plane == "left_mirror":
         return backward @ forward
     if plane == "right_mirror":
@@ -153,12 +149,9 @@ def round_trip_elements(s1, s2):
 
 
 def right_mirror_elements(s1, s2):
-    """Closed-form (a, b, c) of the right-mirror round trip, in units of f."""
-    h = s1 + s2 - s1 * s2
-    a = 1.0 - 2.0 * h
-    b = 2.0 * (1.0 - s2) * h
-    c = -2.0 * (1.0 - s1)
-    return a, b, c
+    """Closed-form (a, b, c) of the right-mirror round trip, in units of f:
+    the left-mirror round trip of the cavity with l1 and l2 swapped."""
+    return round_trip_elements(s2, s1)
 
 
 class StabilityInfo:

@@ -11,10 +11,10 @@ Three engines propagate the transverse field at the left mirror:
   continuous-time equation
   ``i dpsi/dn = [b theta/(2k sin theta)] psi_xx + [k theta c/(2 sin theta)] x^2 psi``
   on a fixed grid.
-* ``gaussian_q`` -- the complex beam parameter integrated through the
-  continuum limit of the round-trip map (a fourth-order Magnus scheme on the
-  2x2 flow), which resolves the adiabatic spot-size law far below the
-  per-trip discretization floor.
+* ``gaussian_q`` -- the complex beam parameter carried by the continuum
+  limit of the round-trip map, which is the damped-oscillator flow of
+  :func:`kanai_cavity.core.trip_flow` read on each mirror; it resolves the
+  adiabatic spot-size law far below the per-trip discretization floor.
 
 Spot sizes are reported as twice the intensity standard deviation, which for
 a fundamental Gaussian equals the 1/e^2 intensity radius.
@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import flow_products, magnus4_steps
+from .core import trip_flow
 from .errors import (BeamParameterError, NearFocalPlaneError,
                      NearInstabilityError, ResolutionError, SamplingError,
                      ValidationError)
@@ -43,8 +43,6 @@ DEFAULT_GRID_N = 4096
 DEFAULT_WINDOW_FACTOR = 16.0
 #: Default substeps per round trip of the split-step engine.
 DEFAULT_SUBSTEPS = 8
-#: Magnus steps per round trip of the gaussian_q engine.
-Q_STEPS = 8
 
 _PLANE_TAGS = ("left_mirror", "right_mirror")
 
@@ -456,31 +454,8 @@ class GaussianQTrace:
         self.w2 = np.asarray(w2, dtype=float)
 
 
-def _flow_trace(q0, b0, c0, kk, friction, n_max, sign):
-    """Integrate the 2x2 continuum flow and record q at integer trips.
-
-    The generator is (theta/sin theta) [[0, b(n)], [c(n), 0]] with
-    b(n) = b0 e^{-g}, c(n) = c0 e^{+g} (sign=+1, left mirror) or
-    b(n) = b0 e^{+g}, c(n) = c0 e^{-g} (sign=-1, right mirror).  Magnus
-    steps of 1/Q_STEPS trip keep the map symplectic to fourth order.  Each
-    trip's steps are composed in step order, for all trips at once, and
-    :func:`flow_products` carries the per-trip matrices from trip to trip.
-    """
-    def generator(n):
-        g = friction.evaluate(n)[0]
-        return 0.0, b0 * np.exp(-sign * g), c0 * np.exp(sign * g)
-
-    h = 1.0 / Q_STEPS
-    steps = magnus4_steps(np.arange(n_max * Q_STEPS) * h, h, generator,
-                          scale=kk)
-    e11, e12, e21, e22 = (e.reshape(n_max, Q_STEPS).T for e in steps)
-    p11, p12, p21, p22 = e11[0], e12[0], e21[0], e22[0]
-    for j in range(1, Q_STEPS):
-        p11, p12, p21, p22 = (e11[j] * p11 + e12[j] * p21,
-                              e11[j] * p12 + e12[j] * p22,
-                              e21[j] * p11 + e22[j] * p21,
-                              e21[j] * p12 + e22[j] * p22)
-    p11, p12, p21, p22 = flow_products((p11, p12, p21, p22)).T
+def _mobius(p11, p12, p21, p22, q0):
+    """q = (p11 q0 + p12) / (p21 q0 + p22) per trip; a singular map raises."""
     denom = p21 * q0 + p22
     # a NaN denominator is not singular: the caller's finite check refuses it
     singular = np.flatnonzero(np.abs(denom[1:]) < 1e-12)
@@ -493,10 +468,14 @@ def _flow_trace(q0, b0, c0, kk, friction, n_max, sign):
 def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
     """Track the complex beam parameter on both mirrors along a schedule.
 
-    The left-mirror parameter starts at ``q0``; the right-mirror parameter
-    starts at the half-trip image of ``q0`` and evolves under the
-    right-mirror round-trip elements.  Spot sizes are derived from q at each
-    integer trip.
+    The left-mirror q starts at ``q0``, the right-mirror q at its half-trip
+    image.  Each follows its mirror's continuum flow kk [[0, b], [c, 0]],
+    kk = theta / sin(theta); as kk^2 b c = -theta^2 on both mirrors, both
+    are read off the damped-oscillator flow :func:`trip_flow`, with e^g at
+    trip n, b0 = ``sched.b0`` and c0' = ``sched.right_c0``:
+
+        left  (p11, p12, p21, p22) = (u2, kk b0 u1, e^g u2'/(kk b0), e^g u1')
+        right (p11, p12, p21, p22) = (e^g u1', e^g u2'/(kk c0'), kk c0' u1, u2)
     """
     q0 = complex(q0)
     if not (q0.imag > 0.0):
@@ -504,12 +483,13 @@ def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
     n_max = int(n_max)
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    kk = sched.theta / math.sin(sched.theta)
     q_right0 = beam_round_trip(q0, sched.half_matrix_at(0.0))
-    q_left = _flow_trace(q0, sched.b0, sched.c0, kk,
-                         sched.friction, n_max, +1.0)
-    q_right = _flow_trace(q_right0, sched.right_b0, sched.right_c0, kk,
-                          sched.friction, n_max, -1.0)
+    u2, u1, du2, du1 = trip_flow(sched.friction, sched.theta ** 2, n_max).T
+    eg = np.exp(sched.friction.evaluate(np.arange(n_max + 1.0))[0])
+    kk = sched.theta / math.sin(sched.theta)
+    kb, kc = kk * sched.b0, kk * sched.right_c0
+    q_left = _mobius(u2, kb * u1, eg * du2 / kb, eg * du1, q0)
+    q_right = _mobius(eg * du1, eg * du2 / kc, kc * u1, u2, q_right0)
     if (q_left.imag <= 0.0).any() or (q_right.imag <= 0.0).any():
         raise BeamParameterError("beam parameter left the upper half plane")
     w1, w2 = (np.sqrt(wavelength * np.abs(q) ** 2 / (math.pi * q.imag))

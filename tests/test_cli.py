@@ -478,6 +478,59 @@ def test_oversize_runs_exit_2(tmp_path, capsys, command, run):
     assert not out.exists() or not list(out.iterdir())
 
 
+def _config_text(**overrides):
+    def write(tmp_path):
+        return pathlib.Path(write_config(tmp_path, **overrides)).read_bytes()
+    return write
+
+
+def _table(data):
+    def write(tmp_path):
+        (tmp_path / "table.csv").write_bytes(data)
+        return _config_text(friction={"kind": "tabulated",
+                                      "path": "table.csv"})(tmp_path)
+    return write
+
+
+HUGE = 10 ** 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("schedule", _config_text(run={"n_max": HUGE}), 2),
+    ("schedule", _config_text(geometry={"l1_over_f": HUGE,
+                                        "l2_over_f": 1.5}), 2),
+    ("stability", _config_text(stability={"l1_range": [0.0, HUGE]}), 2),
+    ("schedule", lambda tmp_path: b"[" * 100000 + b"]" * 100000, 2),
+    ("schedule", lambda tmp_path: b'{"schema_version": 1, "\xff": 0}', 2),
+    ("schedule", _table(b"n,g\n0,0\n\xff,1\n"), 2),
+    ("schedule", _table(b"n,g\n" + b"0" * 140000 + b",0\n"), 2),
+    ("ray", _config_text(run={"n_max": 1e20}), 2),
+    ("lissajous", _config_text(run={"n_max": 1e20}), 2),
+    ("collapse", _config_text(run={"n_max": 1e20}), 2),
+    ("crosscheck", _config_text(run={"n_max": 1e20}), 2),
+    ("crosscheck", _config_text(run={"n_max": 1, "window_factor": 1e-300,
+                                     "grid_n": 16}), 3),
+    ("crosscheck", _config_text(crosscheck={"width_scale": 1e300}), 3),
+], ids=["n_max-int-overflow", "l1-int-overflow", "range-int-overflow",
+        "deep-nesting", "config-not-utf8", "table-not-utf8",
+        "table-long-field", "ray-1e20", "lissajous-1e20", "collapse-1e20",
+        "crosscheck-1e20",
+        "window-factor-overflow", "width-scale-overflow"])
+def test_hostile_inputs_exit_with_one_line(tmp_path, capsys, command,
+                                           config, code):
+    """Inputs that once ended in a traceback: numbers beyond the float
+    range, deep nesting, bytes that are not UTF-8, an overlong CSV field,
+    trip counts beyond float64's exact integers and float overflow."""
+    path = tmp_path / "config.json"
+    path.write_bytes(config(tmp_path))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: " if code == 2 else "numerical failure: ")
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_outputs_are_deterministic(tmp_path):
     cfg = write_config(tmp_path,
                        run={"n_max": 200, "dn": 1, "engine": "gaussian_q"})
