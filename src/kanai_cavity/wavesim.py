@@ -7,10 +7,8 @@ Three engines propagate the transverse field at the left mirror:
   output grid spacing is ``lambda |b| / (N dx_in)``; since ``b`` shrinks
   along a damping schedule, the grid co-collapses with the field and the
   relative resolution stays constant.
-* ``split_step`` -- symmetric operator splitting of the equivalent
-  continuous-time equation
-  ``i dpsi/dn = [b theta/(2k sin theta)] psi_xx + [k theta c/(2 sin theta)] x^2 psi``
-  on a fixed grid.
+* ``split_step`` -- the same round-trip matrix applied exactly on a fixed
+  grid, as a chirp kick, a free-propagation drift and a second kick.
 * ``gaussian_q`` -- the complex beam parameter carried by the continuum
   limit of the round-trip map, which is the damped-oscillator flow of
   :func:`kanai_cavity.core.trip_flow` read on each mirror; it resolves the
@@ -41,8 +39,6 @@ DEFAULT_WAVELENGTH = 1e-4
 DEFAULT_GRID_N = 4096
 #: Default grid window in units of the initial spot size.
 DEFAULT_WINDOW_FACTOR = 16.0
-#: Default substeps per round trip of the split-step engine.
-DEFAULT_SUBSTEPS = 8
 
 _PLANE_TAGS = ("left_mirror", "right_mirror")
 
@@ -117,10 +113,6 @@ class ComplexField:
             self._grid = grid
         return self._grid
 
-    @property
-    def k(self):
-        return 2.0 * math.pi / self.wavelength
-
     def norm_sq(self):
         """Integral of |psi|^2 dx."""
         return self._power * self.dx
@@ -138,12 +130,6 @@ class ComplexField:
 
     def is_centered(self):
         return abs(self.x0 + (self.n_samples // 2) * self.dx) <= 1e-9 * self.dx
-
-
-def _require_centered(field):
-    if not field.is_centered():
-        raise ValidationError(
-            "engine requires a centered grid (x0 = -(N//2) dx)")
 
 
 class GaussianBeam:
@@ -334,7 +320,8 @@ def _diffract(field, m, check_sampling=True):
     """Pre-chirped transform of the diffraction integral of ``m`` and the
     output spacing; without the post-chirp (modulus one) and the amplitude
     (a constant), it carries the output intensity up to a constant factor."""
-    _require_centered(field)
+    if not field.is_centered():
+        raise ValidationError("engine requires a centered grid (x0 = -(N//2) dx)")
     a_el, b_el = m.a, m.b
     if abs(b_el) <= EPSILON_B:
         raise NearFocalPlaneError(
@@ -381,56 +368,62 @@ def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
                         plane_tag or field.plane_tag)
 
 
-#: Stage weights of the 5-stage Suzuki fractal composition.  Sandwiching
-#: kick-drift-kick substeps with these weights cancels the second- and
-#: third-order splitting errors, leaving a fourth-order method; each weight
-#: multiplies the substep length (the middle one is negative).
-_SUZUKI_W1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-_SUZUKI_STAGES = (_SUZUKI_W1, _SUZUKI_W1, 1.0 - 4.0 * _SUZUKI_W1,
-                  _SUZUKI_W1, _SUZUKI_W1)
+_MAX_PIECES = 64  # most pieces a split-step trip is cut into
 
 
-def split_step_round_trip(field, theta, b, c, k, substeps=DEFAULT_SUBSTEPS):
-    """One round trip of the continuous-time equation by symmetric splitting.
+def split_step_round_trip(field, m):
+    """Apply the ray matrix ``m`` exactly on the field's own uniform grid.
 
-    Integrates i dpsi/dn = [b theta/(2 k sin theta)] psi_xx
-    + [k theta c /(2 sin theta)] x^2 psi over one trip on the field's own
-    (fixed) grid.  Each of the ``substeps`` substeps is a five-stage Suzuki
-    composition of kick-drift-kick stages, giving a per-trip error that
-    scales as (theta / substeps)^4 while every stage stays exactly unitary.
-    Adjacent half-kicks are diagonal and merge into one kick, so a trip
-    makes 5 substeps + 1 kicks.
+    m = K_d D_b K_a: the kick K_a multiplies the samples by
+    exp(-i pi (a - 1) x^2 / (lambda b)), K_d likewise with d, and the drift
+    D_b multiplies the spectrum by exp(i pi lambda b nu^2).  While a kick
+    would alias, the trip is halved, m^(1/2) = (m + I) / sqrt(2 + a + d), and
+    run as that many pieces of two transforms each; between pieces K_a and
+    K_d merge into one kick, checked at twice the chirp.  Raises
+    :class:`NearFocalPlaneError` for |b| <= EPSILON_B,
+    :class:`NearInstabilityError` when a trip with a + d <= -2 needs halving,
+    and :class:`SamplingError` when the kicks alias at ``_MAX_PIECES`` pieces
+    or a drift carries the field out of the window.
     """
-    _require_centered(field)
-    substeps = int(substeps)
-    if substeps < 1:
-        raise ValidationError("substeps must be >= 1")
-    sin_theta = math.sin(theta)
-    if abs(sin_theta) < 1e-9:
-        raise NearInstabilityError(
-            "sin(theta) = %g: matrix too close to marginal stability for "
-            "the continuous-time coefficients" % sin_theta)
-    # No FFT shifts: the sign factors that would stand in for them (see
-    # _chirp) cancel between fft and ifft around the pointwise drift.
-    x_sq = field.grid ** 2
-    kappa_sq = (2.0 * math.pi * np.fft.fftfreq(field.n_samples, field.dx)) ** 2
-    c_kin = b * theta / (2.0 * k * sin_theta)
-    c_pot = k * theta * c / (2.0 * sin_theta)
-    dt = 1.0 / substeps
-    weights = _SUZUKI_STAGES * substeps
-    # half a stage's kick on each side of its drift; neighbours merge
-    kick_weights = [(u + w) / 2.0
-                    for u, w in zip((0.0,) + weights, weights + (0.0,))]
-    kicks = {w: np.exp(-1j * c_pot * (w * dt) * x_sq)
-             for w in set(kick_weights)}
-    drifts = {w: np.exp(1j * c_kin * w * dt * kappa_sq)
-              for w in set(_SUZUKI_STAGES)}
-    out = kicks[kick_weights[0]] * field.samples
-    for w, kick_w in zip(weights, kick_weights[1:]):
-        spectrum = np.fft.fft(out)
-        spectrum *= drifts[w]
-        out = np.fft.ifft(spectrum)
-        out *= kicks[kick_w]
+    a_el, b_el, d_el = m.a, m.b, m.d
+    if abs(b_el) <= EPSILON_B:
+        raise NearFocalPlaneError(
+            "|b| = %g <= %g: reference plane too close to a focal plane "
+            "for the drift" % (abs(b_el), EPSILON_B))
+    pieces = 1
+    while True:
+        kick = max(abs(a_el - 1.0), abs(d_el - 1.0)) * min(pieces, 2)
+        try:
+            _check_chirp_sampling(field, kick, b_el)
+            break
+        except SamplingError:
+            if pieces == _MAX_PIECES:
+                raise
+        if a_el + d_el <= -2.0:
+            raise NearInstabilityError("a + d = %g <= -2: the trip has no "
+                                       "real half to split" % (a_el + d_el))
+        root = math.sqrt(2.0 + a_el + d_el)
+        a_el, b_el, d_el = (a_el + 1.0) / root, b_el / root, (d_el + 1.0) / root
+        pieces *= 2
+    lam, n = field.wavelength, field.n_samples
+    # a piece sends x to a x - lambda b nu, which must stay in the window
+    x_edge, nu_mean, nu_std = field._chirp_stats
+    reach = abs(a_el) * x_edge + lam * abs(b_el) * (abs(nu_mean) + 5.0 * nu_std)
+    edge = min(-field.x0, field.x0 + n * field.dx)
+    if reach > edge:
+        raise SamplingError("a drift carries the field to %.3g, past the "
+                            "window edge at %.3g" % (reach, edge))
+    # No FFT shifts: the phase exp(-2 pi i nu x0) of the grid's offset
+    # cancels between fft and ifft around the pointwise drift.
+    chirp = -1j * math.pi / (lam * b_el) * field.grid ** 2
+    first = np.exp((a_el - 1.0) * chirp)
+    last = first if d_el == a_el else np.exp((d_el - 1.0) * chirp)
+    drift = np.exp(1j * math.pi * lam * b_el * np.fft.fftfreq(n, field.dx) ** 2)
+    between = last * first if pieces > 1 else None
+    out = first * field.samples
+    for piece in range(pieces, 0, -1):
+        out = np.fft.ifft(np.fft.fft(out) * drift)
+        out *= between if piece > 1 else last
     return field.with_samples(out)
 
 
@@ -547,9 +540,8 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
     Returns
     -------
     CollapseTrace
-        Truncated early (with ``diagnostic`` set) if the fresnel grid can no
-        longer resolve the chirp or the split-step spot falls below eight
-        grid pixels.
+        Truncated early (with ``diagnostic`` set) if the grid can no longer
+        resolve a trip or the split-step spot falls below eight grid pixels.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -578,10 +570,9 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
     else:
         raise ValidationError("initial must be a GaussianBeam or ComplexField")
 
-    k = field.k
-    theta = sched.theta
-    starts = np.arange(max(n_max, 1), dtype=float)
-    a_arr, b_arr, c_arr = sched.elements_at(starts)
+    a_arr, b_arr, c_arr = sched.elements_at(
+        np.arange(max(n_max, 1), dtype=float))
+    trip = fresnel_round_trip if engine == "fresnel" else split_step_round_trip
     ns, w1s, w2s, norms, centroids = [], [], [], [], []
     diagnostic = None
     for n in range(n_max + 1):
@@ -608,12 +599,8 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
         if n == n_max:
             break
         try:
-            if engine == "fresnel":
-                m = AbcdMatrix(a_arr[n], b_arr[n], c_arr[n], a_arr[n])
-                field = fresnel_round_trip(field, m)
-            else:
-                field = split_step_round_trip(field, theta, b_arr[n],
-                                              c_arr[n], k)
+            field = trip(field,
+                         AbcdMatrix(a_arr[n], b_arr[n], c_arr[n], a_arr[n]))
         except SamplingError as exc:
             diagnostic = "run truncated at trip %d: %s" % (n + 1, exc)
             break

@@ -75,9 +75,9 @@ base = {"schema_version": 1,
         "friction": {"kind": "constant", "gamma": 1e-3},
         "collapse": {"center_over_w1": 0.5}}
 # transforms of 3 trips: fresnel 3 per trip + 2 for the last row,
-# split_step 2 per Suzuki stage + 2 per row, crosscheck 2 per trip
+# split_step 2 per trip + 2 per row, crosscheck 2 per trip
 runs = (("collapse", "fresnel", 3 * 3 + 2),
-        ("collapse", "split_step", 3 * (2 + 2 * 5 * 8) + 2),
+        ("collapse", "split_step", 3 * (2 + 2) + 2),
         ("crosscheck", "fresnel", 3 * 2))
 for command, engine, transforms in runs:
     cfg = dict(base, run={"n_max": 3, "grid_n": 256, "engine": engine})
