@@ -209,11 +209,13 @@ def _formats(cfg):
     return set(formats)
 
 
-def _setup(cfg):
-    """Schedule, wavelength and run options shared by every command."""
+def _setup(cfg, sampled=False):
+    """Schedule, wavelength and run options; dn != 1 needs ``sampled``."""
     geom, wavelength = _build_geometry(cfg)
     friction = _build_friction(cfg, cfg["_config_dir"])
     run = _run_section(cfg)
+    if run["dn"] != 1.0 and not sampled:
+        _fail("run.dn must be 1 for this command, which writes every trip")
     return MirrorSchedule(geom, friction), wavelength, run
 
 
@@ -241,7 +243,7 @@ def cmd_stability(cfg):
                          minimum=1, integer=True)
     l1_lo, l1_hi = _pair(st, "stability", "l1_range", (0.0, 4.0))
     l2_lo, l2_hi = _pair(st, "stability", "l2_range", (0.0, 4.0))
-    sched, _, run = _setup(cfg)
+    sched, _, run = _setup(cfg, sampled=True)
     raster = stability_map((l1_lo, l1_hi), (l2_lo, l2_hi), resolution)
     n_values = _sample_times(run["n_max"], run["dn"])
     path_l1, path_l2 = sched.positions_at(n_values)
@@ -258,7 +260,7 @@ def cmd_stability(cfg):
 
 def cmd_schedule(cfg):
     """Mirror positions and matrix elements along the damping schedule."""
-    sched, _, run = _setup(cfg)
+    sched, _, run = _setup(cfg, sampled=True)
     n_values = _sample_times(run["n_max"], run["dn"])
     g_values = sched.friction.evaluate(n_values)[0]
     l1, l2 = sched._positions(g_values)

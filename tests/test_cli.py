@@ -478,6 +478,22 @@ def test_oversize_runs_exit_2(tmp_path, capsys, command, run):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("dn", [0.5, 7])
+@pytest.mark.parametrize("command",
+                         ["ray", "lissajous", "collapse", "crosscheck"])
+def test_dn_is_refused_where_every_trip_is_written(tmp_path, capsys,
+                                                   command, dn):
+    """These commands write every trip, so a run.dn other than 1 could not
+    take effect; it is refused before any work."""
+    cfg = write_config(tmp_path, run={"n_max": 50, "dn": dn})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: run.dn must be 1")
+    assert not out.exists() or not list(out.iterdir())
+
+
 def _config_text(**overrides):
     def write(tmp_path):
         return pathlib.Path(write_config(tmp_path, **overrides)).read_bytes()
