@@ -69,7 +69,7 @@ class BeamParameterError(NumericalError):
 
 
 class NearInstabilityError(NumericalError):
-    """Geometry too close to marginal stability (sin(theta) ~ 0)."""
+    """A split-step trip to be halved has a + d <= -2: no real half."""
 
 
 class ResolutionError(NumericalError):
