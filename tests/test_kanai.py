@@ -22,9 +22,8 @@ from kanai_cavity.paraxial import (AbcdMatrix, ResonatorGeometry,
                                    round_trip_matrix, stability)
 from kanai_cavity.raysim import RayState, iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
-from kanai_cavity.wavesim import (GaussianBeam, eigenmode_beam,
-                                  fresnel_round_trip, phase_aligned_l2,
-                                  sample_beam, spot_size)
+from kanai_cavity.wavesim import GaussianBeam, eigenmode_beam, sample_beam
+import grid_oracles
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
 THETA = stability(round_trip_matrix(GEOM0)).theta
@@ -353,7 +352,9 @@ RECORD_FIELDS = ("l2_distance", "centroid_wave", "centroid_analytic",
 def reference_crosscheck(geom0, wavelength, sched, n_max, center=0.0,
                          tilt=0.0, grid_n=256):
     """The crosscheck loop as first written: the analytic side comes from
-    one ``kanai_propagate`` and one ``moments`` call per trip."""
+    one ``kanai_propagate`` and one ``moments`` call per trip, the wave side
+    from the grid kernels of ``grid_oracles``, which measure every spectrum
+    and post-chirp every trip."""
     params = map_parameters(geom0, wavelength)
     m0 = round_trip_matrix(geom0)
     beam = GaussianBeam(1j * math.sqrt(-m0.b / m0.c), center=center,
@@ -372,15 +373,15 @@ def reference_crosscheck(geom0, wavelength, sched, n_max, center=0.0,
         x_mean, delta_x = moments(packet, sol, params, float(n))
         records.append({
             "n": n,
-            "l2_distance": phase_aligned_l2(analytic, field),
-            "centroid_wave": field.centroid(),
+            "l2_distance": grid_oracles.phase_aligned_l2(analytic, field),
+            "centroid_wave": grid_oracles.centroid(field),
             "centroid_analytic": x_mean,
-            "width_wave": spot_size(field) / 2.0,
+            "width_wave": grid_oracles.spot_size(field) / 2.0,
             "width_analytic": delta_x,
         })
         if n == n_max:
             break
-        field = fresnel_round_trip(
+        field = grid_oracles.fresnel_round_trip(
             field, AbcdMatrix(a_arr[n], b_arr[n], c_arr[n], a_arr[n]))
     return records
 

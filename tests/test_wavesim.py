@@ -21,6 +21,7 @@ from kanai_cavity.paraxial import AbcdMatrix, ResonatorGeometry, round_trip_matr
 from kanai_cavity.raysim import RayState, iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity import core, wavesim
+import grid_oracles
 from kanai_cavity.wavesim import (
     ComplexField,
     GaussianBeam,
@@ -784,6 +785,92 @@ def test_split_step_refuses_underresolved_fields(n_samples):
             for field in split_fields(m, n_samples):
                 with pytest.raises(SamplingError):
                     split_step_round_trip(field, m)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the grid engines before their trips carried the spectral moments
+# and the Fresnel post-chirp (tests/grid_oracles.py)
+
+#: The golden grid geometry's table (tests/test_golden.py), off the trip grid.
+GOLDEN_TABLE = FrictionProfile.tabulated(
+    (0.0, 3.3, 7.1, 12.45, 18.0, 26.7, 33.05, 41.9, 50.0, 60.0),
+    (0.0, 0.011, 0.027, 0.05, 0.081, 0.12, 0.152, 0.21, 0.26, 0.33))
+
+#: (engine, l/f, friction, offset in spot sizes, tilt, grid_n, n_max): the
+#: golden grid runs, a tabulated table, other geometries (the last near
+#: theta = pi, in two pieces per split-step trip), a 1,000-trip Fresnel run
+#: and runs that truncate on aliasing and on the eight-pixel bound.
+GRID_RUNS = {
+    "golden_fresnel": ("fresnel", (1.7, 1.5), 5e-3, 0.0, 0.0, 512, 20),
+    "golden_fresnel_displaced": ("fresnel", (1.7, 1.5), 5e-3, 1.0, 0.0, 512,
+                                 20),
+    "golden_split": ("split_step", (1.7, 1.5), 5e-3, 0.0, 0.0, 256, 20),
+    "golden_split_displaced": ("split_step", (1.7, 1.5), 5e-3, 1.0, 0.0, 256,
+                               20),
+    "tabulated_fresnel": ("fresnel", (1.7, 1.5), GOLDEN_TABLE, 0.5, 1e-3,
+                          1024, 60),
+    "tabulated_split": ("split_step", (1.7, 1.5), GOLDEN_TABLE, -0.5, 1e-3,
+                        1024, 60),
+    "fresnel_1.2_1.6": ("fresnel", (1.2, 1.6), 1e-2, 0.7, 0.0, 2048, 100),
+    "split_2.0_1.9": ("split_step", (2.0, 1.9), 1e-2, -0.7, 0.0, 1024, 40),
+    "split_near_pi": ("split_step", NEAR_PI, 1e-2, 0.5, 0.0, 256, 30),
+    "fresnel_thousand": ("fresnel", (1.7, 1.5), 1e-3, 0.3, 0.0, 2048, 1000),
+    "fresnel_aliasing": ("fresnel", (1.7, 1.5), 1e-2, 1.0, 0.0, 64, 20),
+    "split_eight_pixels": ("split_step", (1.7, 1.5), 5e-2, 0.0, 0.0, 256,
+                           200),
+}
+
+
+def grid_run(name):
+    """(schedule, beam, engine, grid_n, n_max) of a GRID_RUNS entry."""
+    engine, l_over_f, friction, offset, tilt, grid_n, n_max = GRID_RUNS[name]
+    if not isinstance(friction, FrictionProfile):
+        friction = FrictionProfile.constant(friction)
+    geom = ResonatorGeometry(*l_over_f)
+    eigen = eigenmode_beam(round_trip_matrix(geom))
+    beam = GaussianBeam(eigen.q, center=offset * eigen.spot_size(WAVELENGTH),
+                        tilt=tilt)
+    return MirrorSchedule(geom, friction), beam, engine, grid_n, n_max
+
+
+@pytest.mark.parametrize("name", sorted(GRID_RUNS))
+def test_collapse_matches_the_parent_kernels(name):
+    """Same rows and the same diagnostic as the kernels that measured every
+    spectrum and post-chirped every output; w1, w2 and the norm to <= 1e-12
+    relative, the centroid to <= 1e-12 of w1."""
+    sched, beam, engine, grid_n, n_max = grid_run(name)
+    trace = run_collapse(sched, beam, n_max, engine, wavelength=WAVELENGTH,
+                         grid_n=grid_n)
+    n, w1, w2, norm, centroid, diagnostic = grid_oracles.run_collapse(
+        sched, beam, n_max, engine, WAVELENGTH, grid_n)
+    assert trace.diagnostic == diagnostic
+    assert list(trace.n) == list(n)
+    for got, ref in ((trace.w1, w1), (trace.w2, w2), (trace.norm, norm)):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    assert np.all(np.abs(trace.centroid - centroid) <= 1e-12 * w1)
+
+
+@pytest.mark.parametrize("name", sorted(set(GRID_RUNS) - {
+    "fresnel_aliasing", "split_eight_pixels"}))
+def test_carried_spectral_moments_match_the_fft(name):
+    """On every trip the spectral mean and spread the sampling check used
+    match the FFT of the field's samples: the mean to <= 1e-9 of Nyquist,
+    the spread to <= 1e-9 relative."""
+    sched, beam, engine, grid_n, n_max = grid_run(name)
+    trip = fresnel_round_trip if engine == "fresnel" else split_step_round_trip
+    field = sample_beam(beam, WAVELENGTH, grid_n)
+    a_arr, b_arr, c_arr = sched.elements_at(np.arange(n_max, dtype=float))
+    for n in range(n_max + 1):
+        if n < n_max:
+            after = trip(field, AbcdMatrix(a_arr[n], b_arr[n], c_arr[n],
+                                           a_arr[n]))
+        else:
+            wavesim._check_chirp_sampling(field, 0.0, MATRIX0.b)
+        nu_mean, nu_std = grid_oracles.spectral_stats(field)
+        _, got_mean, got_std = field._chirp_stats
+        assert abs(got_mean - nu_mean) <= 1e-9 * 0.5 / field.dx, n
+        assert abs(got_std - nu_std) <= 1e-9 * nu_std, n
+        field = after
 
 
 # ---------------------------------------------------------------------------
