@@ -142,9 +142,12 @@ def kanai_propagate(packet, sol, params, x, n):
     return _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian)
 
 
-def _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian):
+def _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian,
+               frame=None):
     """:func:`kanai_propagate` from the float values of u1, u2, u2' and W
-    at trip n."""
+    at trip n.  With the pending chirp rate ``frame`` of a Fresnel output
+    on the same centred grid, alpha and beta absorb exp(-i frame s^2) and
+    (-1)^s, s = x / dx, and the field is returned in that chirp frame."""
     if abs(u2) <= 1e-12:
         raise NearCausticError(
             "caustic at n = %g: |u2| = %g" % (n, abs(u2)))
@@ -166,6 +169,9 @@ def _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian):
     beta = (2.0 * q * x_c + 1j * momentum / hbar) / u2
     c = (cmath.log(amplitude) - q * x_c * x_c
          - 1j * momentum * momentum * t / (2.0 * mass * hbar))
+    if frame is not None:
+        alpha -= 1j * frame / (dx * dx)
+        beta += 1j * math.pi / dx
     if not all(map(cmath.isfinite, (alpha, beta, c))):
         raise NumericalError(
             "analytic propagator coefficients are not finite at n = %g" % n)
@@ -174,7 +180,7 @@ def _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian):
         raise NumericalError(
             "analytic propagator samples are not finite at n = %g" % n)
     return ComplexField(samples, dx, float(x[0]), 2.0 * math.pi * hbar,
-                        "left_mirror")
+                        "left_mirror", None if frame is None else (frame, 1.0))
 
 
 def moments(packet, sol, params, n):
@@ -252,7 +258,7 @@ def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
         raise ValidationError("n_max must be >= 0")
     params = map_parameters(geom0, wavelength)
     m0 = round_trip_matrix(geom0)
-    q0 = 1j * width_scale ** 2 * math.sqrt(-m0.b / m0.c)
+    q0 = 1j * width_scale * width_scale * math.sqrt(-m0.b / m0.c)
     beam = GaussianBeam(q0, center=center, tilt=tilt)
     packet = GaussianWavepacket(beam.spot_size(wavelength) / 2.0,
                                 center=center, momentum=-tilt)
@@ -273,10 +279,10 @@ def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
     a_arr, b_arr, c_arr = sched.elements_at(starts)
     records = []
     for n in range(n_max + 1):
-        x, dx = _uniform_grid(field.grid)
-        analytic = _propagate(packet, params, x, dx, float(n), float(u1[n]),
-                              float(u2[n]), float(du2[n]),
-                              float(w_ronskian[n]))
+        # in the wave field's chirp frame, the inner product needs no chirp
+        analytic = _propagate(packet, params, field.grid, field.dx, float(n),
+                              float(u1[n]), float(u2[n]), float(du2[n]),
+                              float(w_ronskian[n]), field._rate)
         # numpy scalars, as in a scalar moments() call (see its docstring)
         x_mean, delta_x = _moments(packet, params, u1[n], u2[n])
         records.append({

@@ -115,6 +115,15 @@ class MirrorSchedule:
         """Half-trip matrix (left mirror to right mirror) at time n."""
         return half_trip_matrix(self.geometry_at(n))
 
+    def half_elements_at(self, n):
+        """Half-trip elements (a, b, c, d); vectorized over n.  The products
+        of P(l2) Lens P(l1) are written out in the order ``half_matrix_at``
+        composes them, so the values carry its bits."""
+        l1, l2 = self.positions_at(n)
+        lens = -1.0 / self.geom0.f
+        a = 1.0 + l2 * lens
+        return a, a * l1 + l2, np.full(np.shape(a), lens), lens * l1 + 1.0
+
 
 def mirror_speed_estimate(sched, f_meters, n):
     """Physical right-mirror speed |dl2/dt| in meters per second.

@@ -26,8 +26,8 @@ import numpy as np
 
 from .core import trip_flow
 from .errors import (BeamParameterError, NearFocalPlaneError,
-                     NearInstabilityError, ResolutionError, SamplingError,
-                     ValidationError)
+                     NearInstabilityError, NumericalError, ResolutionError,
+                     SamplingError, ValidationError)
 from .paraxial import AbcdMatrix, stability
 from .raysim import RayState, iterate_ray
 
@@ -52,6 +52,20 @@ def _is_power_of_two(n):
     return n >= 2 and (n & (n - 1)) == 0
 
 
+@functools.lru_cache(maxsize=8)
+def _tables(n):
+    """Read-only tables of an n-point grid, once per size: the index j, the
+    rows [1, s, s^2] of the centred index s = j - n//2, and k^2 and (-1)^k
+    for k = 0..n/2."""
+    j = np.arange(n, dtype=float)
+    k = np.arange(n // 2 + 1)
+    tables = (j, np.stack((np.ones(n), j - n // 2, (j - n // 2) ** 2)),
+              (k * k).astype(float), 1.0 - 2.0 * (k % 2))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class ComplexField:
     """1-d complex field samples on a uniform transverse grid.
 
@@ -59,59 +73,88 @@ class ComplexField:
     centered: x0 = -(N//2) dx).  ``plane_tag`` records which mirror plane
     the samples live on.
 
-    A field is immutable: ``samples`` is a read-only view of the array
-    passed in, so |psi|^2, the grid, the centroid and the sampling
-    statistics are each computed at most once per field.  The caller must
-    not write to that array afterwards.
+    A field is immutable: the caller must not write to the array passed in
+    afterwards.  With ``pending_chirp = (beta, scale)`` the samples are
+    scale (-1)^s exp(i beta s^2) times that array, s = j - N//2, and are
+    materialised, read-only, only when ``samples`` is read; |psi|^2 is read
+    off the array itself.  The profile, the grid and the sampling
+    statistics are each computed at most once per field.
     """
 
-    __slots__ = ("samples", "dx", "x0", "wavelength", "plane_tag",
-                 "_intensity", "_power", "_grid", "_centroid", "_chirp_stats")
+    __slots__ = ("dx", "x0", "wavelength", "plane_tag", "_raw", "_rate",
+                 "_scale", "_samples", "_power", "_profile", "_grid",
+                 "_moments", "_chirp_stats")
 
-    def __init__(self, samples, dx, x0, wavelength, plane_tag="left_mirror"):
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1 or not _is_power_of_two(samples.size):
+    def __init__(self, samples, dx, x0, wavelength, plane_tag="left_mirror",
+                 pending_chirp=None):
+        raw = np.asarray(samples, dtype=complex)
+        if raw.ndim != 1 or not _is_power_of_two(raw.size):
             raise ValidationError(
                 "field needs a 1-d sample array with power-of-two length; "
-                "got shape %r" % (samples.shape,))
-        dx = float(dx)
-        wavelength = float(wavelength)
+                "got shape %r" % (raw.shape,))
+        dx, wavelength = float(dx), float(wavelength)
         if dx <= 0.0 or wavelength <= 0.0:
             raise ValidationError("dx and wavelength must be > 0")
         if plane_tag not in _PLANE_TAGS:
             raise ValidationError("plane_tag must be one of %r" % (_PLANE_TAGS,))
-        intensity = np.abs(samples) ** 2
-        power = float(np.sum(intensity))
-        norm_sq = power * dx
-        if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
+        rate, scale = pending_chirp or (None, 1.0)
+        # the norm is the field's inner product with itself, so that
+        # inner_product(f, f) and norm_sq() share one reduction
+        power = (float(np.vdot(raw, raw).real)
+                 * (scale.conjugate() * scale).real)
+        if not (power * dx > 0.0 and math.isfinite(power * dx)):
             # A NaN or infinite sample makes the norm non-finite, so only
             # this path needs the scan that tells the two causes apart.
-            if not np.all(np.isfinite(samples)):
+            if not np.all(np.isfinite(raw)):
                 raise ValidationError("field samples must be finite")
             raise ValidationError("field norm must be positive and finite")
-        samples = samples.view()
-        samples.flags.writeable = False
-        intensity.flags.writeable = False
-        self.samples = samples
+        raw = raw.view()
+        raw.flags.writeable = False
         self.dx = dx
         self.x0 = float(x0)
         self.wavelength = wavelength
         self.plane_tag = plane_tag
-        self._intensity = intensity
+        self._raw, self._rate, self._scale = raw, rate, scale
+        self._samples = raw if rate is None else None
         self._power = power
-        self._grid = self._centroid = self._chirp_stats = None
+        self._profile = self._grid = self._moments = self._chirp_stats = None
+
+    @property
+    def samples(self):
+        if self._samples is None:
+            samples = _chirp(self._raw.size, self._rate, self._scale)
+            samples *= self._raw
+            samples.flags.writeable = False
+            self._samples = samples
+        return self._samples
 
     @property
     def n_samples(self):
-        return self.samples.size
+        return self._raw.size
 
     @property
     def grid(self):
         if self._grid is None:
-            grid = self.x0 + np.arange(self.samples.size) * self.dx
+            grid = self.x0 + _tables(self._raw.size)[0] * self.dx
             grid.flags.writeable = False
             self._grid = grid
         return self._grid
+
+    def _intensity_profile(self):
+        """Centroid and variance of |psi|^2, from one product with the rows
+        [1, s, s^2], and the first and last index of its support, where
+        |psi|^2 reaches 1e-12 of its peak."""
+        if self._profile is None:
+            n, dx = self._raw.size, self.dx
+            intens = np.abs(self._raw) ** 2
+            total, first, second = _tables(n)[1] @ intens
+            mean = first / total
+            support = intens >= 1e-12 * intens.max()
+            self._profile = (float(self.x0 + (n // 2) * dx + mean * dx),
+                             float((second / total - mean * mean) * dx * dx),
+                             int(support.argmax()),
+                             n - 1 - int(support[::-1].argmax()))
+        return self._profile
 
     def norm_sq(self):
         """Integral of |psi|^2 dx."""
@@ -119,10 +162,7 @@ class ComplexField:
 
     def centroid(self):
         """Intensity-weighted mean position."""
-        if self._centroid is None:
-            self._centroid = float(np.sum(self._intensity * self.grid)
-                                   / self._power)
-        return self._centroid
+        return self._intensity_profile()[0]
 
     def with_samples(self, samples):
         return ComplexField(samples, self.dx, self.x0, self.wavelength,
@@ -147,6 +187,8 @@ class GaussianBeam:
         if not (q.imag > 0.0):
             raise ValidationError(
                 "beam parameter must have Im(q) > 0, got %r" % (q,))
+        if not cmath.isfinite(q):
+            raise NumericalError("beam parameter %r is not finite" % (q,))
         self.q = q
         self.amplitude = float(amplitude)
         self.center = float(center)
@@ -202,24 +244,25 @@ def sample_beam(beam, wavelength, n_samples=DEFAULT_GRID_N, dx=None,
 
 def spot_size(field):
     """Spot size w = 2 sqrt(<x^2> - <x>^2) from the intensity profile."""
-    intens = field._intensity
-    total = field._power
-    if total <= 0.0:
-        raise ValidationError("field carries no power")
-    if int(np.count_nonzero(intens > 1e-12 * intens.max())) < 2:
+    _, var, first, last = field._intensity_profile()
+    if first == last:
         raise ResolutionError(
             "field support has degenerated to a single grid pixel")
-    mean = field.centroid()
-    var = float(np.sum(intens * (field.grid - mean) ** 2) / total)
     return 2.0 * math.sqrt(max(var, 0.0))
 
 
 def inner_product(f1, f2):
-    """<f1, f2> = integral conj(f1) f2 dx; the grids must coincide."""
+    """<f1, f2> = integral conj(f1) f2 dx; the grids must coincide.
+
+    Fields with the same pending chirp rate (or none) meet without it: the
+    chirp cancels and only the two scales remain."""
     if f1.n_samples != f2.n_samples:
         raise ValidationError("fields have different sample counts")
     if abs(f1.dx - f2.dx) > 1e-12 * f1.dx or abs(f1.x0 - f2.x0) > 1e-9 * f1.dx:
         raise ValidationError("fields live on different grids")
+    if f1._rate == f2._rate:
+        return (f1._scale.conjugate() * f2._scale
+                * complex(np.vdot(f1._raw, f2._raw)) * f1.dx)
     return complex(np.vdot(f1.samples, f2.samples)) * f1.dx
 
 
@@ -240,6 +283,39 @@ def phase_aligned_l2(f1, f2):
     return math.sqrt(max(n1 + n2 - 2.0 * ip, 0.0) / n1)
 
 
+def _measured_moments(field):
+    """(<x>, <nu>, Var x, Cov(x, nu), Var nu): one FFT, and one inverse FFT
+    for Re <x nu>, where nu acts as -i/(2 pi) d/dx."""
+    x_mean, x_var, _, _ = field._intensity_profile()
+    psi = field.samples
+    spectrum = np.fft.fft(psi)  # |fft|^2 needs no shift: it flips signs
+    power = np.abs(spectrum) ** 2
+    power /= power.sum()
+    nu = np.fft.fftfreq(field.n_samples, field.dx)
+    nu_mean = float(np.sum(power * nu))
+    x_nu = (np.vdot(psi, field.grid * np.fft.ifft(spectrum * nu)).real
+            / np.vdot(psi, psi).real)
+    return (x_mean, nu_mean, x_var, float(x_nu) - x_mean * nu_mean,
+            float(np.sum(power * (nu - nu_mean) ** 2)))
+
+
+def _carry(field, m, out):
+    """Give a trip's output the moments of its input, if it has them: a
+    first-order system maps x -> a x - lambda b nu, nu -> -c x / lambda +
+    d nu, so means go through M and V -> M V M^T (Bastiaans 1979)."""
+    if field._moments is None:
+        return out
+    x_mean, nu_mean, xx, xn, nn = field._moments
+    lam = field.wavelength
+    p, q, r, t = m.a, -lam * m.b, -m.c / lam, m.d
+    out._moments = (
+        p * x_mean + q * nu_mean, r * x_mean + t * nu_mean,
+        p * p * xx + 2.0 * p * q * xn + q * q * nn,
+        p * r * xx + (p * t + q * r) * xn + q * t * nn,
+        r * r * xx + 2.0 * r * t * xn + t * t * nn)
+    return out
+
+
 def _check_chirp_sampling(field, a_elem, b_elem):
     """Detect chirp aliasing before a diffraction step.
 
@@ -248,30 +324,20 @@ def _check_chirp_sampling(field, a_elem, b_elem):
     the energy-carrying support, plus the field's own spectral extent -- and
     raises :class:`SamplingError` with a suggested grid size when it exceeds
     95% of the grid Nyquist frequency.  Only the kernel term depends on
-    (a, b); the support edge and the spectral mean and spread are computed
-    once per field and kept on it.
+    (a, b); the support edge is measured once per field, the spectral mean
+    and spread once per run: a trip's output carries them from its input.
     """
-    lam = field.wavelength
-    dx = field.dx
-    n = field.n_samples
+    lam, dx, n = field.wavelength, field.dx, field.n_samples
     if field._chirp_stats is None:
-        intens = field._intensity
-        x_mean = field.centroid()
+        x_mean, _, first, last = field._intensity_profile()
         # The grid increases, so |x - x_mean| over the support peaks at its
         # first or last point.
-        support = intens >= 1e-12 * intens.max()
-        ends = field.grid[[support.argmax(), n - 1 - support[::-1].argmax()]]
-        x_edge = float(np.max(np.abs(ends - x_mean))) + abs(x_mean)
-
-        # |fft|^2 needs no shift: shifting the input only flips signs
-        spectrum = np.fft.fft(field.samples)
-        power = np.abs(spectrum) ** 2
-        power /= power.sum()
-        nu = np.fft.fftfreq(n, dx)
-        nu_mean = float(np.sum(power * nu))
-        nu_std = math.sqrt(
-            max(float(np.sum(power * (nu - nu_mean) ** 2)), 0.0))
-        field._chirp_stats = (x_edge, nu_mean, nu_std)
+        x_edge = max(abs(field.x0 + first * dx - x_mean),
+                     abs(field.x0 + last * dx - x_mean)) + abs(x_mean)
+        if field._moments is None:
+            field._moments = _measured_moments(field)
+        nu_mean, nu_var = field._moments[1], field._moments[4]
+        field._chirp_stats = (x_edge, nu_mean, math.sqrt(max(nu_var, 0.0)))
     x_edge, nu_mean, nu_std = field._chirp_stats
 
     nu_kernel = abs(a_elem) * x_edge / (lam * abs(b_elem))
@@ -286,30 +352,21 @@ def _check_chirp_sampling(field, a_elem, b_elem):
             % (nu_needed, nu_nyquist, suggested), suggested_n=suggested)
 
 
-@functools.lru_cache(maxsize=8)
-def _half_tables(n):
-    """k^2 and (-1)^k for k = 0..n/2, read-only, once per grid size."""
-    k = np.arange(n // 2 + 1)
-    k_sq = (k * k).astype(float)
-    sign = 1.0 - 2.0 * (k % 2)
-    k_sq.flags.writeable = sign.flags.writeable = False
-    return k_sq, sign
-
-
-def _chirp(n, beta, scale=1.0):
-    """scale (-1)^s exp(i beta s^2) on the centred index s = j - n//2.
+def _chirp(n, beta, scale=1.0, signed=True):
+    """scale (-1)^s exp(i beta s^2) on the centred index s = j - n//2, or
+    without (-1)^s when not ``signed``.
 
     The exponential is evaluated for |s| = 0..n/2 only and mirrored.  The
     exact factor (-1)^s stands in for the shifts of a centred grid: for even
     n, fftshift(fft(ifftshift(y))) = (-1)^(n/2) (-1)^s fft((-1)^s y), and
     likewise with ifft.
     """
-    k_sq, sign = _half_tables(n)
+    _, _, k_sq, sign = _tables(n)
     phase = beta * k_sq
     half = np.empty(k_sq.size, dtype=complex)
     np.cos(phase, out=half.real)
     np.sin(phase, out=half.imag)
-    half *= scale * sign
+    half *= scale * sign if signed else scale
     out = np.empty(n, dtype=complex)
     out[:half.size] = half[::-1]
     out[half.size:] = half[1:-1]
@@ -319,7 +376,9 @@ def _chirp(n, beta, scale=1.0):
 def _diffract(field, m, check_sampling=True):
     """Pre-chirped transform of the diffraction integral of ``m`` and the
     output spacing; without the post-chirp (modulus one) and the amplitude
-    (a constant), it carries the output intensity up to a constant factor."""
+    (a constant), it carries the output intensity up to a constant factor.
+    A pending chirp on the field folds into the pre-chirp: their two
+    factors (-1)^s cancel."""
     if not field.is_centered():
         raise ValidationError("engine requires a centered grid (x0 = -(N//2) dx)")
     a_el, b_el = m.a, m.b
@@ -329,11 +388,13 @@ def _diffract(field, m, check_sampling=True):
             "for the diffraction kernel" % (abs(b_el), EPSILON_B))
     if check_sampling:
         _check_chirp_sampling(field, a_el, b_el)
-    lam = field.wavelength
-    n = field.n_samples
-    dx_in = field.dx
-    pre = _chirp(n, -math.pi * a_el * dx_in ** 2 / (lam * b_el))
-    pre *= field.samples
+    lam, n, dx_in = field.wavelength, field.n_samples, field.dx
+    beta = -math.pi * a_el * dx_in * dx_in / (lam * b_el)
+    if field._rate is None:
+        pre = _chirp(n, beta)
+    else:
+        pre = _chirp(n, beta + field._rate, field._scale, signed=False)
+    pre *= field._raw
     if b_el < 0.0:
         spectrum = np.fft.fft(pre)
     else:
@@ -350,22 +411,26 @@ def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
             integral exp[-i pi (a xi^2 + d x^2 - 2 x xi)/(lambda b)] psi(xi) dxi
 
     by pre-chirp, discrete Fourier transform, and post-chirp; the shifts of
-    the centred grids are folded into the chirps.  The output is returned
-    on the natural grid of the transform, spacing ``lambda |b| / (N dx_in)``
-    -- it is not resampled, so along a damping schedule the grid contracts
-    together with the field.
+    the centred grids are folded into the chirps.  The post-chirp is left
+    pending on the output field, for the next trip's pre-chirp to absorb.
+    The output is returned on the natural grid of the transform, spacing
+    ``lambda |b| / (N dx_in)`` -- it is not resampled, so along a damping
+    schedule the grid contracts together with the field.
 
     Raises :class:`NearFocalPlaneError` for |b| <= EPSILON_B (the kernel is
-    singular at b = 0) and :class:`SamplingError` when the chirp would alias.
+    singular at b = 0) and :class:`SamplingError` when the chirp would alias
+    or is not finite.
     """
     spectrum, dx_out = _diffract(field, m, check_sampling)
-    lam = field.wavelength
-    n = field.n_samples
+    lam, n = field.wavelength, field.n_samples
     scale = (-1.0) ** (n // 2) * cmath.sqrt(1j / (lam * m.b)) * field.dx
-    out = _chirp(n, -math.pi * m.d * dx_out ** 2 / (lam * m.b), scale)
-    out *= spectrum
-    return ComplexField(out, dx_out, -(n // 2) * dx_out, lam,
-                        plane_tag or field.plane_tag)
+    beta = -math.pi * m.d * dx_out * dx_out / (lam * m.b)
+    if not math.isfinite(beta):
+        raise SamplingError("the post-chirp from grid spacing %.3g to %.3g "
+                            "is not finite" % (field.dx, dx_out))
+    return _carry(field, m, ComplexField(
+        spectrum, dx_out, -(n // 2) * dx_out, lam,
+        plane_tag or field.plane_tag, (beta, scale)))
 
 
 _MAX_PIECES = 64  # most pieces a split-step trip is cut into
@@ -424,7 +489,7 @@ def split_step_round_trip(field, m):
     for piece in range(pieces, 0, -1):
         out = np.fft.ifft(np.fft.fft(out) * drift)
         out *= between if piece > 1 else last
-    return field.with_samples(out)
+    return _carry(field, m, field.with_samples(out))
 
 
 def beam_round_trip(q, m):
@@ -572,6 +637,7 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
 
     a_arr, b_arr, c_arr = sched.elements_at(
         np.arange(max(n_max, 1), dtype=float))
+    halves = np.transpose(sched.half_elements_at(np.arange(n_max + 1.0)))
     trip = fresnel_round_trip if engine == "fresnel" else split_step_round_trip
     ns, w1s, w2s, norms, centroids = [], [], [], [], []
     diagnostic = None
@@ -579,8 +645,7 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
         try:
             w1 = spot_size(field)
             # spot_size reads only the intensity: skip the post-chirp
-            spectrum, dx_out = _diffract(field,
-                                         sched.half_matrix_at(float(n)))
+            spectrum, dx_out = _diffract(field, AbcdMatrix(*halves[n]))
             w2 = spot_size(ComplexField(
                 spectrum, dx_out, -(field.n_samples // 2) * dx_out,
                 field.wavelength, "right_mirror"))

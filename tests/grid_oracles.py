@@ -42,10 +42,12 @@ def norm_sq(field):
     return float(np.sum(intensity(field))) * field.dx
 
 
-def phase_aligned_l2(f1, f2):
-    n1, n2 = norm_sq(f1), norm_sq(f2)
-    ip = abs(complex(np.vdot(f1.samples, f2.samples)) * f1.dx)
-    return math.sqrt(max(n1 + n2 - 2.0 * ip, 0.0) / n1)
+def aligned_l2(f1, f2):
+    """min over phi of ||f1 - e^{i phi} f2|| / ||f1||, summed directly: free
+    of the sqrt(eps) floor that n1 + n2 - 2 |<f1, f2>| cancels down to."""
+    ip = complex(np.vdot(f1.samples, f2.samples))
+    diff = f1.samples - ip.conjugate() / abs(ip) * f2.samples
+    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * f1.dx / norm_sq(f1))
 
 
 def spectral_stats(field):

@@ -74,11 +74,12 @@ base = {"schema_version": 1,
                      "lambda_over_f": 1e-4},
         "friction": {"kind": "constant", "gamma": 1e-3},
         "collapse": {"center_over_w1": 0.5}}
-# transforms of 3 trips: fresnel 3 per trip + 2 for the last row,
-# split_step 2 per trip + 2 per row, crosscheck 2 per trip
-runs = (("collapse", "fresnel", 3 * 3 + 2),
-        ("collapse", "split_step", 3 * (2 + 2) + 2),
-        ("crosscheck", "fresnel", 3 * 2))
+# transforms of 3 trips: the first field's moments take 2 (spectrum and
+# covariance), then fresnel 1 per trip + 1 per row, split_step 2 per trip
+# + 1 per row, crosscheck 1 per trip
+runs = (("collapse", "fresnel", 2 + 3 + 4),
+        ("collapse", "split_step", 2 + 3 * 2 + 4),
+        ("crosscheck", "fresnel", 2 + 3))
 for command, engine, transforms in runs:
     cfg = dict(base, run={"n_max": 3, "grid_n": 256, "engine": engine})
     path = os.path.join(work, "%s_%s.json" % (command, engine))

@@ -3,7 +3,9 @@ two ways.
 
 * exit 0, with every data value finite (theta = nan in the stability raster
   excepted) and every JSON file strictly parseable; or
-* exit 2 or 3, with one line on stderr and no data file written.
+* exit 2 or 3, with one line on stderr that names its cause (no bare
+  errno text such as ``(34, 'Numerical result out of range')``) and no
+  data file written.
 
 Configs are drawn over all six commands and all three engines, kept cheap
 (grid_n <= 256, n_max <= 20, resolution <= 8), and then corrupted by up to
@@ -21,6 +23,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import tempfile
 
 from hypothesis import event, example, given, settings
@@ -42,6 +45,8 @@ BAD_VALUES = (math.nan, math.inf, -math.inf, 10 ** 400, "1.5", None, True,
 #: Strictly stable (l1/f, l2/f) pairs with l2 > f, which a schedule needs;
 #: one geometry in four is drawn anywhere in [0, 4]^2 instead.
 STABLE = ((1.7, 1.5), (1.2, 1.6), (2.0, 1.9), (1.5, 1.8), (1.05, 1.02))
+#: The text of an OSError or a math range error, "(34, 'Numerical ...')".
+ERRNO_TEXT = re.compile(r"\(\d+, '")
 
 
 def coord(lo, hi, *extremes):
@@ -209,9 +214,12 @@ def check_data_file(path):
 # a misspelt key and a run.dn the command never reads (once ignored)
 @example(("collapse", _config(run={"n_mx": 3}), None, True))
 @example(("ray", _config(run={"n_max": 3, "dn": 0.5}), None, True))
-# float overflow in the crosscheck beam (once an OverflowError traceback)
+# float overflow in the crosscheck beam (once an OverflowError traceback,
+# then errno text) and in the Fresnel output spacing (once errno text)
 @example(("crosscheck", _config(crosscheck={"width_scale": 1e300}), None,
           False))
+@example(("crosscheck", _config(run={"n_max": 3, "grid_n": 256,
+                                     "window_factor": 1e-300}), None, False))
 def test_every_config_ends_in_data_or_one_line(case):
     command, cfg, table, refuse = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -234,4 +242,5 @@ def test_every_config_ends_in_data_or_one_line(case):
         else:
             assert code == 2 if refuse else code in (2, 3), (code, err)
             assert len(err.splitlines()) == 1, err
+            assert not ERRNO_TEXT.search(err), err
             assert not out.exists() or not list(out.iterdir())

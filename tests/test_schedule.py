@@ -98,6 +98,23 @@ def test_half_matrix_composes_to_full_matrix():
         assert abs(m.b - ref.b) < 1e-9
 
 
+@pytest.mark.parametrize("friction", [
+    FrictionProfile.constant(5e-3),
+    FrictionProfile.tabulated((0.0, 3.3, 7.1, 12.45, 18.0, 26.7, 60.0),
+                              (0.0, 0.011, 0.027, 0.05, 0.05, 0.12, 0.33))])
+@pytest.mark.parametrize("l_over_f", [(1.7, 1.5), (1.2, 1.6), (1.05, 1.02)])
+def test_half_elements_carry_the_half_matrix_bits(friction, l_over_f):
+    """Every trip's half-trip elements, evaluated at once, have the float64
+    bits of the per-trip ``half_matrix_at``."""
+    sched = MirrorSchedule(ResonatorGeometry(*l_over_f), friction)
+    n = np.arange(61.0)
+    elements = sched.half_elements_at(n)
+    for k in range(n.size):
+        m = sched.half_matrix_at(float(k))
+        assert [float(e[k]).hex() for e in elements] == [
+            v.hex() for v in (m.a, m.b, m.c, m.d)], k
+
+
 def test_schedule_validation():
     # l2(0) <= f leaves the closed forms undefined
     with pytest.raises(InvalidScheduleError):

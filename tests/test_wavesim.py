@@ -203,6 +203,16 @@ def test_near_focal_plane_rejected():
         fresnel_round_trip(field, AbcdMatrix(1.0, 1e-12, 0.0, 1.0))
 
 
+def test_non_finite_chirp_names_the_grid_spacing():
+    """A window far below the spot makes the output spacing, and so the
+    post-chirp, overflow: a SamplingError, not an OverflowError."""
+    field = sample_beam(EIGENBEAM, WAVELENGTH, 256, window_factor=1e-300)
+    with np.errstate(all="ignore"), pytest.raises(
+            SamplingError, match=r"post-chirp from grid spacing 2.15e-305 "
+                                 r"to 1.65e\+298 is not finite"):
+        fresnel_round_trip(field, MATRIX0)
+
+
 def test_aliasing_guard_suggests_larger_grid():
     field = eigen_field(32)
     with pytest.raises(SamplingError) as excinfo:
@@ -279,30 +289,29 @@ def fft_count(monkeypatch):
 
 
 def test_fresnel_collapse_transform_count(fft_count):
-    # per trip: one spectrum for the sampling check (shared by the half and
-    # the full trip, which start from the same field) and two round trips;
-    # the last row needs only the check and the half trip
+    # the first field's moments: its spectrum and one inverse transform for
+    # the covariance; later fields carry theirs through the trip.  Per trip
+    # a half trip and a round trip; the last row needs only the half trip
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(5e-3))
     trace = run_collapse(sched, EIGENBEAM, 20, engine="fresnel",
                          wavelength=WAVELENGTH, grid_n=512)
     assert not trace.truncated
-    assert fft_count[0] == 3 * 20 + 2
+    assert fft_count[0] == 2 + 2 * 20 + 1
 
 
 def test_split_step_transform_count(fft_count):
-    # a fresh field: one spectrum for the sampling check, two per piece
+    # a fresh field: two transforms for its moments, two per piece
     field = eigen_field(256)
     split_step_round_trip(field, MATRIX0)
-    assert fft_count[0] == 1 + 2
-    # per trip: the row's check and half trip, then one piece, whose check
-    # reuses the row's spectrum; the last row needs only the check and the
-    # half trip
+    assert fft_count[0] == 2 + 2
+    # per trip: the row's half trip, then one piece, whose check reads the
+    # carried moments; the last row needs only the half trip
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(5e-3))
     fft_count[0] = 0
     trace = run_collapse(sched, EIGENBEAM, 3, engine="split_step",
                          wavelength=WAVELENGTH, grid_n=256)
     assert not trace.truncated
-    assert fft_count[0] == 3 * (2 + 2) + 2
+    assert fft_count[0] == 2 + 3 * (1 + 2) + 1
 
 
 # ---------------------------------------------------------------------------
