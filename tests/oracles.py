@@ -1,15 +1,24 @@
-"""Independent oracles that need scipy, which the package does not import.
+"""Independent oracles, and earlier kernels the package has replaced.
 
 * :func:`integrate_schedule_ode` integrates the mirror-velocity system whose
   closed-form solution :class:`kanai_cavity.schedule.MirrorSchedule` uses;
 * :func:`count_stable_domains` counts the connected stable domains of a
-  :class:`kanai_cavity.paraxial.StabilityMap` raster.
+  :class:`kanai_cavity.paraxial.StabilityMap` raster;
+* :func:`trip_flow` and :func:`node_grid_solution` are the damped-oscillator
+  flows the gaussian_q engine and the ODE branch of
+  :func:`kanai_cavity.core.fundamental_solutions` read before both moved to
+  one step grid: a fixed 1/8-trip grid composed trip by trip, and a grid of
+  equal steps between table nodes carried one step at a time.
+
+The first two need scipy, which the package does not import.
 """
 
 import numpy as np
 from scipy import ndimage
 from scipy.integrate import solve_ivp
 
+from kanai_cavity.core import (ClassicalSolution, _oscillator_steps,
+                               flow_products)
 from kanai_cavity.errors import NumericalError, ValidationError
 from kanai_cavity.schedule import MirrorSchedule
 
@@ -68,3 +77,54 @@ def count_stable_domains(raster):
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     _, count = ndimage.label(interior, structure=structure)
     return count
+
+
+def trip_flow(friction, omega_sq, n_max):
+    """(u2, u1, u2', u1') at the integer trips 0 ... n_max, fixed step.
+
+    Each trip's 8 steps of the Magnus flow are composed in step order, for
+    all trips at once, and :func:`flow_products` carries the per-trip
+    matrices from trip to trip, one at a time.  Table nodes do not end
+    steps.
+    """
+    t = np.arange(n_max * 8 + 1) / 8
+    steps = [e.reshape(n_max, 8).T for e in
+             _oscillator_steps(friction, omega_sq, t[:-1], t[1:])]
+    p11, p12, p21, p22 = (e[0] for e in steps)
+    for e11, e12, e21, e22 in zip(*(e[1:] for e in steps)):
+        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
+                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
+    return flow_products((p11, p12, p21, p22))
+
+
+def node_grid_solution(params, n_max):
+    """The ODE branch on its per-node grid, as a ``ClassicalSolution``.
+
+    Each interval between interior table nodes (and 0 and ``n_max``) is cut
+    into ceil(8 length) equal steps, doubled until two levels agree at the
+    coarse step ends to 1e-11 of max |Phi|, at most six times; every step
+    is carried one at a time in scalar arithmetic.
+    """
+    friction, omega_sq = params.friction, params.omega ** 2
+    n_max = float(n_max)
+    nodes = np.empty(0) if friction.nodes is None else friction.nodes
+    interior = nodes[(nodes > 0.0) & (nodes < n_max)]
+    breaks = np.concatenate(([0.0], interior, [n_max]))
+    counts = np.maximum(1, np.ceil(np.diff(breaks) * 8)).astype(int)
+    coarse = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for halving in range(7):
+            t = np.concatenate(
+                [np.linspace(lo, hi, m << halving, endpoint=False)
+                 for lo, hi, m in zip(breaks[:-1], breaks[1:], counts)]
+                + [breaks[-1:]])
+            phi = flow_products(
+                _oscillator_steps(friction, omega_sq, t[:-1], t[1:]))
+            if coarse is not None:
+                change = np.max(np.abs(phi[::2] - coarse))
+                if change <= 1e-11 * np.max(np.abs(phi)):
+                    return ClassicalSolution(params, "ode", n_max=n_max,
+                                             flow=(t, phi))
+            coarse = phi
+    raise NumericalError("the per-node grid did not converge (last change "
+                         "%.3g)" % change)

@@ -20,6 +20,7 @@ from kanai_cavity.errors import (
     UnsupportedRegimeError,
     ValidationError,
 )
+from oracles import node_grid_solution
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +459,46 @@ def test_magnus_flow_matches_closed_form_between_and_on_boundaries():
             dev = np.max(np.abs(getattr(ode, fn)(n) - getattr(closed, fn)(n)))
             assert dev < 1e-11, (fn, dev)
     assert ode.u1(12.3) == pytest.approx(closed.u1(12.3), abs=1e-11)
+
+
+#: A small monotone g(n) table whose nodes are off the 1/8-trip grid.
+OFF_GRID_TABLE = FrictionProfile.tabulated(
+    [0.0, 3.3, 7.1, 12.45, 18.0, 26.7, 33.05, 41.9, 50.0, 60.0],
+    [0.0, 0.011, 0.027, 0.05, 0.081, 0.12, 0.152, 0.21, 0.26, 0.33])
+
+
+def _benchmark_table():
+    """A node every 10 trips to 220, rates near 1e-3 per trip."""
+    rng = np.random.default_rng(5)
+    n = np.arange(0.0, 230.0, 10.0)
+    return FrictionProfile.tabulated(
+        n, np.concatenate(([0.0], np.cumsum(rng.uniform(6e-3, 1.2e-2,
+                                                        n.size - 1)))))
+
+
+@pytest.mark.parametrize("case", [
+    "off_grid_table", "rough_table", "benchmark_table", "overdamped",
+    "non_integer_window"])
+def test_ode_branch_matches_the_per_node_grid_at_integer_trips(case):
+    """At the integer trips, u1, u1', u2 and u2' agree with the ODE branch
+    on its earlier grid of equal steps between table nodes
+    (``oracles.node_grid_solution``) to 1e-11 of their largest magnitude,
+    the halving loop's convergence tolerance."""
+    friction, omega, n_max = {
+        "off_grid_table": (OFF_GRID_TABLE, 1.88, 60.0),
+        "rough_table": (_rough_friction(), 1.88, 40.0),
+        "benchmark_table": (_benchmark_table(), 1.86, 200.0),
+        "overdamped": (FrictionProfile.constant(2.5), 1.0, 30.0),
+        "non_integer_window": (FrictionProfile.constant(0.2), 1.3, 12.3),
+    }[case]
+    params = OscillatorParams(omega, friction)
+    sol = fundamental_solutions(params, method="ode", n_max=n_max)
+    ref = node_grid_solution(params, n_max)
+    n = np.arange(math.floor(n_max) + 1.0)
+    got, want = ([getattr(s, fn)(n) for fn in ("u1", "du1", "u2", "du2")]
+                 for s in (sol, ref))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * scale
 
 
 def test_overdamped_ode_branch_stays_finite_over_long_window():

@@ -22,6 +22,7 @@ from kanai_cavity.raysim import RayState, iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity import core, wavesim
 import grid_oracles
+import oracles
 from kanai_cavity.wavesim import (
     ComplexField,
     GaussianBeam,
@@ -469,6 +470,49 @@ def test_gaussian_q_carries_one_matrix_per_trip(monkeypatch, n_max):
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     gaussian_q_trace(sched, EIGENBEAM.q, n_max, wavelength=WAVELENGTH)
     assert calls == [n_max]
+
+
+def on_grid_tables():
+    """Monotone g(n) tables whose nodes all lie on the 1/8-trip grid: one
+    with a node every 10 trips, as the benchmark writes them, and one with
+    nodes 1/8 to 40 trips apart."""
+    rng = np.random.default_rng(16)
+    n_int = np.arange(0.0, 530.0, 10.0)
+    n_eighth = np.concatenate(([0.0], np.cumsum(rng.integers(1, 320, 40)) / 8))
+    return [FrictionProfile.tabulated(
+        n, np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 2e-3, n.size - 1)
+                                            * np.diff(n)))))
+        for n in (n_int, n_eighth)]
+
+
+def q_from_rows(sched, q0, rows):
+    """(q_left, q_right) at trips 0 ... len(rows) - 1 from the flow rows
+    (u2, u1, u2', u1'), through the engine's own maps."""
+    u2, u1, du2, du1 = np.asarray(rows).T
+    eg = np.exp(sched.friction.evaluate(np.arange(len(rows), dtype=float))[0])
+    kk = sched.theta / math.sin(sched.theta)
+    kb, kc = kk * sched.b0, kk * sched.right_c0
+    q_right0 = wavesim.beam_round_trip(q0, sched.half_matrix_at(0.0))
+    return (wavesim._mobius(u2, kb * u1, eg * du2 / kb, eg * du1, q0),
+            wavesim._mobius(eg * du1, eg * du2 / kc, kc * u1, u2, q_right0))
+
+
+@pytest.mark.parametrize("case", ["constant", "integer_nodes", "eighth_nodes"])
+def test_gaussian_q_keeps_the_per_trip_flow_bits(case):
+    """With constant friction, and on tables whose nodes lie on the 1/8-trip
+    grid, q on both mirrors keeps every bit of the per-trip flow
+    ``oracles.trip_flow``, for 0 to 500 trips."""
+    frictions = {"constant": FrictionProfile.constant(1.3e-3)}
+    frictions["integer_nodes"], frictions["eighth_nodes"] = on_grid_tables()
+    friction = frictions[case]
+    sched = MirrorSchedule(GEOM0, friction)
+    for n_max in (0, 1, 7, 500):
+        rows = oracles.trip_flow(friction, sched.theta ** 2, n_max)
+        for q0 in (EIGENBEAM.q, complex(0.3, 1.4 * EIGENBEAM.q.imag)):
+            trace = gaussian_q_trace(sched, q0, n_max, wavelength=WAVELENGTH)
+            q_left, q_right = q_from_rows(sched, q0, rows)
+            assert trace.q_left.tobytes() == q_left.tobytes(), (n_max, q0)
+            assert trace.q_right.tobytes() == q_right.tobytes(), (n_max, q0)
 
 
 # ---------------------------------------------------------------------------
