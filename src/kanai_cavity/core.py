@@ -33,14 +33,12 @@ from .errors import (DomainError, NumericalError, UnsupportedRegimeError,
 
 #: Gauss-Legendre nodes of a Magnus step, as fractions of the step.
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-#: Magnus steps per round trip at which the ODE branch starts halving.
+#: Magnus steps per round trip of :func:`oscillator_flow` before halving.
 _START_STEPS = 8
 #: Halvings after which the ODE branch gives up (512 steps per trip).
 _MAX_HALVINGS = 6
 #: Largest change under one halving, relative to max |Phi|, that converges.
 _FLOW_TOL = 1e-11
-#: Magnus steps per round trip of :func:`trip_flow`.
-Q_STEPS = 8
 
 
 class FrictionProfile:
@@ -280,7 +278,15 @@ def magnus4_steps(start, h, generator):
     return ch + a * shs, b * shs, c * shs, ch - a * shs
 
 
-def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0)):
+def _times(e, p):
+    """Entries of the 2x2 product E P from those of E and of P."""
+    e11, e12, e21, e22 = e
+    p11, p12, p21, p22 = p
+    return (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
+            e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
+
+
+def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
     """Running products of 2x2 step matrices, applied in step order.
 
     ``steps`` holds the entries ``(e11, e12, e21, e22)`` of the step
@@ -289,17 +295,32 @@ def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0)):
     ``start`` holds the entries of S (by default the identity) and is row
     0.  Each column of S is a state vector carried through the flow, so
     ``start = (x, y, x', y')`` traces two states (x, x') and (y, y') at
-    once.  The products are formed one step at a time in scalar
-    arithmetic, so their rounding does not depend on how the step matrices
-    were computed.
+    once.
+
+    The steps go in blocks of ``block``: the running products inside each
+    block are formed for all blocks at once, and a scalar loop carries S
+    from one block end to the next.  With ``block = 1`` every product is
+    formed one step at a time in scalar arithmetic, so its rounding does
+    not depend on how the step matrices were computed.
     """
-    p11, p12, p21, p22 = (float(p) for p in start)
-    out = array.array("d", (p11, p12, p21, p22))
-    for e11, e12, e21, e22 in zip(*(e.tolist() for e in steps)):
-        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
-                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
-        out.extend((p11, p12, p21, p22))
-    return np.frombuffer(out).reshape(-1, 4)
+    k = len(steps[0])
+    blocks = -(-k // block)
+    # identity steps pad the last block; their rows are dropped
+    run = np.zeros((4, blocks * block))
+    run[::3] = 1.0
+    run[:, :k] = steps
+    run = run.reshape(4, blocks, block)
+    for j in range(1, block):
+        run[:, :, j] = _times(run[:, :, j], run[:, :, j - 1])
+    p = tuple(float(x) for x in start)
+    ends = array.array("d", p)
+    for e in zip(*run[:, :, -1].tolist()):
+        p = _times(e, p)
+        ends.extend(p)
+    ends = np.frombuffer(ends).reshape(-1, 4).T
+    run[:, :, :-1] = _times(run[:, :, :-1], ends[:, :-1, None])
+    run[:, :, -1] = ends[:, 1:]
+    return np.concatenate((ends[:, :1], run.reshape(4, -1)[:, :k]), axis=1).T
 
 
 def _oscillator_steps(friction, omega_sq, lo, hi):
@@ -317,24 +338,25 @@ def _oscillator_steps(friction, omega_sq, lo, hi):
     return [decay * e for e in steps]
 
 
-def trip_flow(friction, omega_sq, n_max):
-    """Fundamental solutions at the integer trips 0 ... n_max, fixed step.
+def oscillator_flow(friction, omega_sq, n_max, halvings=0):
+    """The flow of x'' + gdot x' + omega^2 x = 0 in (x, x') on [0, n_max].
 
-    Row n of the (n_max + 1, 4) result holds (u2, u1, u2', u1') at trip n:
-    the matrix that carries (x, x') from trip 0 to trip n.  Each trip's
-    Q_STEPS steps of :func:`_oscillator_steps` are composed in step order,
-    for all trips at once, and :func:`flow_products` carries the per-trip
-    matrices from trip to trip.  With constant friction the traceless
-    generator is constant, so each step, and the flow, is exact to rounding.
+    Steps end on the grid of 1/(8 * 2**halvings) trip, at every table node
+    below ``n_max`` and at ``n_max``: the monotone interpolant's curvature
+    jumps at the nodes, and a step across one loses the order of the Gauss
+    nodes.  Returns the step ends t and the (t.size, 4) array whose row k
+    holds (u2, u1, u2', u1') at t[k], the matrix that carries (x, x') from
+    0 to t[k].  :func:`flow_products` takes the steps in blocks of one
+    trip's grid steps.  With constant friction the traceless generator is
+    constant, so each step, and the flow, is exact to rounding.
     """
-    t = np.arange(n_max * Q_STEPS + 1) / Q_STEPS
-    steps = [e.reshape(n_max, Q_STEPS).T for e in
-             _oscillator_steps(friction, omega_sq, t[:-1], t[1:])]
-    p11, p12, p21, p22 = (e[0] for e in steps)
-    for e11, e12, e21, e22 in zip(*(e[1:] for e in steps)):
-        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
-                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
-    return flow_products((p11, p12, p21, p22))
+    per_trip = _START_STEPS << halvings
+    t = np.arange(math.ceil(n_max * per_trip)) / per_trip
+    if friction.nodes is not None:
+        t = np.union1d(t, friction.nodes[friction.nodes < n_max])
+    t = np.append(t, n_max)
+    return t, flow_products(
+        _oscillator_steps(friction, omega_sq, t[:-1], t[1:]), block=per_trip)
 
 
 class ClassicalSolution:
@@ -470,33 +492,20 @@ def fundamental_solutions(params, method="auto", n_max=None):
     if n_max <= 0.0:
         raise ValidationError("n_max must be positive")
 
-    omega_sq = params.omega ** 2
-    friction = params.friction
-
-    # The monotone interpolant of a tabulated profile has curvature jumps at
-    # the table nodes; a step across one loses the order of the Gauss nodes,
-    # so steps end at every node.
-    nodes = np.empty(0) if friction.nodes is None else friction.nodes
-    interior = nodes[(nodes > 0.0) & (nodes < n_max)]
-    breaks = np.concatenate(([0.0], interior, [n_max]))
-    counts = np.maximum(1, np.ceil(np.diff(breaks) * _START_STEPS)).astype(int)
     coarse = None
     # In a stiff flow a step that is too long overflows cosh; halving
     # discards such a level, so its floating-point warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for halving in range(_MAX_HALVINGS + 1):
-            t = np.concatenate(
-                [np.linspace(lo, hi, m << halving, endpoint=False)
-                 for lo, hi, m in zip(breaks[:-1], breaks[1:], counts)]
-                + [breaks[-1:]])
-            phi = flow_products(
-                _oscillator_steps(friction, omega_sq, t[:-1], t[1:]))
+            t, phi = oscillator_flow(params.friction, params.omega ** 2,
+                                     n_max, halving)
             if coarse is not None:
-                change = np.max(np.abs(phi[::2] - coarse))
+                change = np.max(np.abs(phi[np.searchsorted(t, coarse[0])]
+                                       - coarse[1]))
                 if change <= _FLOW_TOL * np.max(np.abs(phi)):
                     return ClassicalSolution(params, "ode", n_max=n_max,
                                              flow=(t, phi))
-            coarse = phi
+            coarse = t, phi
     raise NumericalError(
         "fundamental solutions did not converge at %d Magnus steps per trip "
         "(last change %.3g)" % (_START_STEPS << _MAX_HALVINGS, change))

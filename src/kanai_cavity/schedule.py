@@ -107,10 +107,6 @@ class MirrorSchedule:
         a, eg = self._frozen_a_and_scale(self.friction.evaluate(n)[0])
         return a, self.right_b0 * eg, self.right_c0 / eg
 
-    def matrix_at(self, n, plane="left_mirror"):
-        """Round-trip matrix rebuilt from the mirror positions at time n."""
-        return round_trip_matrix(self.geometry_at(n), plane=plane)
-
     def half_matrix_at(self, n):
         """Half-trip matrix (left mirror to right mirror) at time n."""
         return half_trip_matrix(self.geometry_at(n))

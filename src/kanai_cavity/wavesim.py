@@ -11,8 +11,9 @@ Three engines propagate the transverse field at the left mirror:
   grid, as a chirp kick, a free-propagation drift and a second kick.
 * ``gaussian_q`` -- the complex beam parameter carried by the continuum
   limit of the round-trip map, which is the damped-oscillator flow of
-  :func:`kanai_cavity.core.trip_flow` read on each mirror; it resolves the
-  adiabatic spot-size law far below the per-trip discretization floor.
+  :func:`kanai_cavity.core.oscillator_flow` read on each mirror at the
+  integer trips; it resolves the adiabatic spot-size law far below the
+  per-trip discretization floor.
 
 Spot sizes are reported as twice the intensity standard deviation, which for
 a fundamental Gaussian equals the 1/e^2 intensity radius.
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import trip_flow
+from .core import oscillator_flow
 from .errors import (BeamParameterError, NearFocalPlaneError,
                      NearInstabilityError, NumericalError, ResolutionError,
                      SamplingError, ValidationError)
@@ -529,8 +530,9 @@ def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
     The left-mirror q starts at ``q0``, the right-mirror q at its half-trip
     image.  Each follows its mirror's continuum flow kk [[0, b], [c, 0]],
     kk = theta / sin(theta); as kk^2 b c = -theta^2 on both mirrors, both
-    are read off the damped-oscillator flow :func:`trip_flow`, with e^g at
-    trip n, b0 = ``sched.b0`` and c0' = ``sched.right_c0``:
+    are read off the damped-oscillator flow :func:`oscillator_flow` at the
+    integer trips, with e^g at trip n, b0 = ``sched.b0`` and c0' =
+    ``sched.right_c0``:
 
         left  (p11, p12, p21, p22) = (u2, kk b0 u1, e^g u2'/(kk b0), e^g u1')
         right (p11, p12, p21, p22) = (e^g u1', e^g u2'/(kk c0'), kk c0' u1, u2)
@@ -542,7 +544,8 @@ def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     q_right0 = beam_round_trip(q0, sched.half_matrix_at(0.0))
-    u2, u1, du2, du1 = trip_flow(sched.friction, sched.theta ** 2, n_max).T
+    t, phi = oscillator_flow(sched.friction, sched.theta ** 2, n_max)
+    u2, u1, du2, du1 = phi[np.searchsorted(t, np.arange(n_max + 1))].T
     eg = np.exp(sched.friction.evaluate(np.arange(n_max + 1.0))[0])
     kk = sched.theta / math.sin(sched.theta)
     kb, kc = kk * sched.b0, kk * sched.right_c0

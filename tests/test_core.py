@@ -13,6 +13,7 @@ from kanai_cavity.core import (
     OscillatorParams,
     fundamental_solutions,
     magnus4_steps,
+    oscillator_flow,
 )
 from kanai_cavity.errors import (
     DomainError,
@@ -499,6 +500,44 @@ def test_ode_branch_matches_the_per_node_grid_at_integer_trips(case):
                  for s in (sol, ref))
     scale = np.max(np.abs(want))
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * scale
+
+
+def _table(n):
+    """A table through the nodes ``n`` with g rising 0.01 per trip."""
+    return FrictionProfile.tabulated(n, 0.01 * np.asarray(n, dtype=float))
+
+
+@pytest.mark.parametrize("case", [
+    "non_integer_window", "zero_trips", "integer_nodes", "node_near_grid"])
+def test_flow_grid_ends_steps_at_nodes_and_trips(case):
+    """The step ends of ``oscillator_flow`` increase strictly and hold
+    every grid point, every table node, every integer trip and n_max; a
+    node on the grid is not repeated, one 1e-12 from a grid point ends a
+    step of 1e-12, and W = exp(-g) holds at every step end."""
+    friction, n_max = {
+        "non_integer_window": (FrictionProfile.constant(0.2), 12.3),
+        "zero_trips": (OFF_GRID_TABLE, 0),
+        "integer_nodes": (_table([0.0, 1.0, 2.0, 5.0, 9.0, 12.0]), 12),
+        "node_near_grid": (_table([0.0, 2.5 - 1e-12, 2.75 + 1e-12, 6.0]), 6),
+    }[case]
+    nodes = np.empty(0) if friction.nodes is None else friction.nodes
+    for halvings in (0, 2):
+        per_trip = 8 << halvings
+        t, phi = oscillator_flow(friction, 1.3 ** 2, n_max, halvings)
+        grid = np.arange(math.ceil(n_max * per_trip)) / per_trip
+        assert t[0] == 0.0 and t[-1] == n_max
+        assert np.all(np.diff(t) > 0.0)
+        for must in (grid, nodes[nodes <= n_max],
+                     np.arange(math.floor(n_max) + 1.0)):
+            assert np.isin(must, t).all()
+        assert t.size == np.union1d(grid, nodes[nodes < n_max]).size + 1
+        assert phi.shape == (t.size, 4)
+        assert np.array_equal(phi[0], [1.0, 0.0, 0.0, 1.0])
+        wronskian = phi[:, 0] * phi[:, 3] - phi[:, 1] * phi[:, 2]
+        g_t, _ = friction.evaluate(t)
+        assert np.max(np.abs(wronskian - np.exp(-g_t))) < 1e-12
+    if case == "node_near_grid":
+        assert np.min(np.diff(t)) == pytest.approx(1e-12, rel=1e-3)
 
 
 def test_overdamped_ode_branch_stays_finite_over_long_window():

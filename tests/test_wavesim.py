@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from kanai_cavity.core import (Q_STEPS, FrictionProfile, OscillatorParams,
+from kanai_cavity.core import (FrictionProfile, OscillatorParams,
                                flow_products, fundamental_solutions,
                                magnus4_steps)
 from kanai_cavity.errors import (
@@ -405,16 +405,28 @@ def test_gaussian_q_trace_validation():
         gaussian_q_trace(sched, 1.0 - 1j, 10, wavelength=WAVELENGTH)
 
 
+def test_gaussian_q_zero_trips_is_the_start():
+    """With n_max = 0 the flow has no step: one row, q0 on the left mirror
+    and its half-trip image on the right."""
+    sched = MirrorSchedule(GEOM0, seeded_q_table(np.random.default_rng(4), 50))
+    trace = gaussian_q_trace(sched, EIGENBEAM.q, 0, wavelength=WAVELENGTH)
+    assert trace.n.tolist() == [0]
+    assert trace.q_left.tolist() == [EIGENBEAM.q]
+    assert trace.q_right.tolist() == [
+        wavesim.beam_round_trip(EIGENBEAM.q, sched.half_matrix_at(0.0))]
+
+
 def fixed_flow(rows_at):
-    """A stand-in for ``trip_flow`` whose row (u2, u1, u2', u1') at trip t
-    is ``rows_at(t)`` (the identity at t = 0); it records the trip count of
-    each call."""
+    """A stand-in for ``oscillator_flow`` with steps ending at the integer
+    trips, whose row (u2, u1, u2', u1') at trip t is ``rows_at(t)`` (the
+    identity at t = 0); it records the trip count of each call."""
     calls = []
 
-    def flow(friction, omega_sq, n_max):
+    def flow(friction, omega_sq, n_max, halvings=0):
         calls.append(n_max)
-        return np.array([(1.0, 0.0, 0.0, 1.0)]
-                        + [rows_at(t) for t in range(1, n_max + 1)])
+        return (np.arange(n_max + 1.0),
+                np.array([(1.0, 0.0, 0.0, 1.0)]
+                         + [rows_at(t) for t in range(1, n_max + 1)]))
     return flow, calls
 
 
@@ -422,7 +434,7 @@ def test_gaussian_q_lower_half_plane_raises(monkeypatch):
     """A flow with determinant -1 sends q0 to -q0 e^{-g}, below the real
     axis."""
     flow, _ = fixed_flow(lambda t: (1.0, 0.0, 0.0, -1.0))
-    monkeypatch.setattr(wavesim, "trip_flow", flow)
+    monkeypatch.setattr(wavesim, "oscillator_flow", flow)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     with pytest.raises(BeamParameterError, match="upper half plane"):
         gaussian_q_trace(sched, EIGENBEAM.q, 4, wavelength=WAVELENGTH)
@@ -435,7 +447,7 @@ def test_gaussian_q_singular_flow_names_the_first_bad_trip(monkeypatch):
     flow, calls = fixed_flow(
         lambda t: ((1.0, 0.0, 0.0, 1.0) if t < 2 else
                    (0.0, 0.0, 0.0, 1.0) if t == 2 else (1.0, 0.0, 0.0, 0.0)))
-    monkeypatch.setattr(wavesim, "trip_flow", flow)
+    monkeypatch.setattr(wavesim, "oscillator_flow", flow)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     with pytest.raises(BeamParameterError,
                        match="beam-parameter flow singular at trip 3$"):
@@ -447,7 +459,7 @@ def test_gaussian_q_nan_flow_passes_through(monkeypatch):
     """A NaN q is not a lower-half-plane q: it reaches the caller, whose
     finite-data check refuses it (exit 3 from the CLI)."""
     flow, _ = fixed_flow(lambda t: (math.nan,) * 4)
-    monkeypatch.setattr(wavesim, "trip_flow", flow)
+    monkeypatch.setattr(wavesim, "oscillator_flow", flow)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     with np.errstate(invalid="ignore"):
         trace = gaussian_q_trace(sched, EIGENBEAM.q, 3, wavelength=WAVELENGTH)
@@ -458,18 +470,18 @@ def test_gaussian_q_nan_flow_passes_through(monkeypatch):
 
 @pytest.mark.parametrize("n_max", [0, 1, 7, 300])
 def test_gaussian_q_carries_one_matrix_per_trip(monkeypatch, n_max):
-    """The scalar flow_products loop sees each trip once, for both mirrors
-    together: one flow of n_max trip matrices, not n_max * Q_STEPS and not
-    one flow per mirror."""
+    """One flow serves both mirrors: a single flow_products call takes the
+    8 n_max Magnus steps in blocks of 8, so its scalar loop carries one
+    matrix per trip."""
     calls = []
 
-    def counted(steps, start=(1.0, 0.0, 0.0, 1.0)):
-        calls.append(len(steps[0]))
-        return flow_products(steps, start)
+    def counted(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
+        calls.append((len(steps[0]), block))
+        return flow_products(steps, start, block)
     monkeypatch.setattr(core, "flow_products", counted)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     gaussian_q_trace(sched, EIGENBEAM.q, n_max, wavelength=WAVELENGTH)
-    assert calls == [n_max]
+    assert calls == [(8 * n_max, 8)]
 
 
 def on_grid_tables():
@@ -932,6 +944,10 @@ def test_carried_spectral_moments_match_the_fft(name):
 # per step and a per-trip Python loop for q and the spot sizes
 
 
+#: Magnus steps per trip of the first gaussian_q engine.
+Q_STEPS = 8
+
+
 def reference_flow_trace(q0, b0, c0, kk, friction, n_max, sign):
     def generator(n):
         g = friction.evaluate(n)[0]
@@ -1003,8 +1019,8 @@ def test_gaussian_q_trace_matches_the_stepwise_flow(seed):
     """q on both mirrors and both spot sizes, per trip, against the
     two-flow stepwise engine: constant gamma and a tabulated table with
     off-grid nodes, the eigenbeam and an off-eigen q0; relative deviation
-    <= 5e-6 (measured: at most 1.9e-6 on q_left, 1.8e-6 on q_right, 9.0e-7
-    on w1 and 8.6e-7 on w2).  The deviation is the oracle's own step error:
+    <= 5e-6 (measured: at most 1.2e-6 on q_left and q_right, 4.7e-7 on w1
+    and 5.8e-7 on w2).  The deviation is the oracle's own step error:
     with constant gamma the engine is exact to rounding (see
     test_gaussian_q_is_exact_for_the_damped_oscillator)."""
     rng = np.random.default_rng(seed)
@@ -1048,16 +1064,17 @@ def test_gaussian_q_is_exact_for_the_damped_oscillator(seed):
     friction the Magnus steps are exact, so against the closed form the
     relative deviation is <= 1e-11 (measured: at most 1.6e-12; the
     two-flow engine this one replaced reached 1.2e-6).  A tabulated table
-    with nodes off the 1/8-trip grid puts kinks of gdot inside steps, which
-    costs an order; against the converged ODE branch the deviation is
-    <= 5e-6 (measured: at most 1.8e-6; the two-flow engine reached 7.0e-7)."""
+    with nodes off the 1/8-trip grid ends steps at its nodes, so no kink of
+    gdot falls inside a step; against the converged ODE branch the
+    deviation is <= 2e-7 (measured: at most 8.0e-8; 1.8e-6 while the steps
+    ignored the nodes, and the two-flow engine reached 7.0e-7)."""
     rng = np.random.default_rng(seed)
     geom = seeded_geometry(rng)
     eigen_q = eigenmode_beam(round_trip_matrix(geom)).q
     n_max = max(Q_ORACLE_N)
     cases = ((FrictionProfile.constant(rng.uniform(1e-4, 2e-3)),
               "closed_form", 1e-11),
-             (seeded_q_table(rng, n_max), "ode", 5e-6))
+             (seeded_q_table(rng, n_max), "ode", 2e-7))
     for friction, method, bound in cases:
         sched = MirrorSchedule(geom, friction)
         sol = fundamental_solutions(OscillatorParams(sched.theta, friction),
