@@ -472,9 +472,15 @@ def split_step_round_trip(field, m):
         a_el, b_el, d_el = (a_el + 1.0) / root, b_el / root, (d_el + 1.0) / root
         pieces *= 2
     lam, n = field.wavelength, field.n_samples
-    # a piece sends x to a x - lambda b nu, which must stay in the window
+    # k pieces send x to a_k x - lambda b_k nu, with (a_k, b_k) the first
+    # row of the piece's k-th power; after each piece it must stay in the
+    # window
     x_edge, nu_mean, nu_std = field._chirp_stats
-    reach = abs(a_el) * x_edge + lam * abs(b_el) * (abs(nu_mean) + 5.0 * nu_std)
+    a_k, b_k, c_el, reach = 1.0, 0.0, (a_el * d_el - 1.0) / b_el, 0.0
+    for _ in range(pieces):
+        a_k, b_k = a_k * a_el + b_k * c_el, a_k * b_el + b_k * d_el
+        reach = max(reach, abs(a_k) * x_edge
+                    + lam * abs(b_k) * (abs(nu_mean) + 5.0 * nu_std))
     edge = min(-field.x0, field.x0 + n * field.dx)
     if reach > edge:
         raise SamplingError("a drift carries the field to %.3g, past the "
