@@ -295,21 +295,18 @@ def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
     ``start`` holds the entries of S (by default the identity) and is row
     0.  Each column of S is a state vector carried through the flow, so
     ``start = (x, y, x', y')`` traces two states (x, x') and (y, y') at
-    once.
-
-    The steps go in blocks of ``block``: the running products inside each
-    block are formed for all blocks at once, and a scalar loop carries S
-    from one block end to the next.  With ``block = 1`` every product is
-    formed one step at a time in scalar arithmetic, so its rounding does
-    not depend on how the step matrices were computed.
+    once.  The running products inside each block of ``block`` steps are
+    formed for all blocks at once, and a scalar loop carries S from block
+    end to block end; with ``block = 1`` every product is formed one step
+    at a time, so its rounding does not depend on how the step matrices
+    were computed.
     """
     k = len(steps[0])
-    blocks = -(-k // block)
     # identity steps pad the last block; their rows are dropped
-    run = np.zeros((4, blocks * block))
-    run[::3] = 1.0
+    run = np.zeros((4, -(-k // block) * block))
+    run[::3, k:] = 1.0
     run[:, :k] = steps
-    run = run.reshape(4, blocks, block)
+    run = run.reshape(4, -1, block)
     for j in range(1, block):
         run[:, :, j] = _times(run[:, :, j], run[:, :, j - 1])
     p = tuple(float(x) for x in start)
@@ -341,14 +338,12 @@ def _oscillator_steps(friction, omega_sq, lo, hi):
 def oscillator_flow(friction, omega_sq, n_max, halvings=0):
     """The flow of x'' + gdot x' + omega^2 x = 0 in (x, x') on [0, n_max].
 
-    Steps end on the grid of 1/(8 * 2**halvings) trip, at every table node
-    below ``n_max`` and at ``n_max``: the monotone interpolant's curvature
-    jumps at the nodes, and a step across one loses the order of the Gauss
-    nodes.  Returns the step ends t and the (t.size, 4) array whose row k
-    holds (u2, u1, u2', u1') at t[k], the matrix that carries (x, x') from
-    0 to t[k].  :func:`flow_products` takes the steps in blocks of one
-    trip's grid steps.  With constant friction the traceless generator is
-    constant, so each step, and the flow, is exact to rounding.
+    Steps end on the grid of 1/(8 * 2**halvings) trip, at n_max and at
+    every table node, where gdot has kinks that would cost a step across
+    them an order.  Returns the step ends t and the (t.size, 4) array whose
+    row k holds (u2, u1, u2', u1') at t[k]; :func:`flow_products` takes the
+    steps in blocks of one trip's grid steps.  With constant friction each
+    step, and the flow, is exact to rounding.
     """
     per_trip = _START_STEPS << halvings
     t = np.arange(math.ceil(n_max * per_trip)) / per_trip
@@ -482,29 +477,26 @@ def fundamental_solutions(params, method="auto", n_max=None):
     if method != "ode":
         raise ValidationError("unknown method %r" % (method,))
 
-    if n_max is None:
-        if math.isfinite(params.friction.n_max):
-            n_max = params.friction.n_max
-        else:
-            raise ValidationError(
-                "n_max is required for the ODE branch with constant friction")
-    n_max = float(n_max)
+    if n_max is None and not math.isfinite(params.friction.n_max):
+        raise ValidationError(
+            "n_max is required for the ODE branch with constant friction")
+    n_max = float(params.friction.n_max if n_max is None else n_max)
     if n_max <= 0.0:
         raise ValidationError("n_max must be positive")
 
-    coarse = None
     # In a stiff flow a step that is too long overflows cosh; halving
     # discards such a level, so its floating-point warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for halving in range(_MAX_HALVINGS + 1):
+        coarse = oscillator_flow(params.friction, params.omega ** 2, n_max)
+        for halving in range(1, _MAX_HALVINGS + 1):
             t, phi = oscillator_flow(params.friction, params.omega ** 2,
                                      n_max, halving)
-            if coarse is not None:
-                change = np.max(np.abs(phi[np.searchsorted(t, coarse[0])]
-                                       - coarse[1]))
-                if change <= _FLOW_TOL * np.max(np.abs(phi)):
-                    return ClassicalSolution(params, "ode", n_max=n_max,
-                                             flow=(t, phi))
+            # the coarse step ends are among the fine ones
+            change = np.max(np.abs(phi[np.searchsorted(t, coarse[0])]
+                                   - coarse[1]))
+            if change <= _FLOW_TOL * np.max(np.abs(phi)):
+                return ClassicalSolution(params, "ode", n_max=n_max,
+                                         flow=(t, phi))
             coarse = t, phi
     raise NumericalError(
         "fundamental solutions did not converge at %d Magnus steps per trip "

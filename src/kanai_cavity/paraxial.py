@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .core import _times
 from .errors import ContractViolationError, ValidationError
 
 #: |a - d| tolerance accepted when classifying a matrix as canonical.
@@ -41,12 +42,8 @@ class AbcdMatrix:
 
     def compose(self, other):
         """Matrix product self @ other (other acts first on the ray)."""
-        return AbcdMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return AbcdMatrix(*_times((self.a, self.b, self.c, self.d),
+                                  (other.a, other.b, other.c, other.d)))
 
     def __matmul__(self, other):
         return self.compose(other)

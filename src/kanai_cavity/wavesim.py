@@ -10,10 +10,9 @@ Three engines propagate the transverse field at the left mirror:
 * ``split_step`` -- the same round-trip matrix applied exactly on a fixed
   grid, as a chirp kick, a free-propagation drift and a second kick.
 * ``gaussian_q`` -- the complex beam parameter carried by the continuum
-  limit of the round-trip map, which is the damped-oscillator flow of
-  :func:`kanai_cavity.core.oscillator_flow` read on each mirror at the
-  integer trips; it resolves the adiabatic spot-size law far below the
-  per-trip discretization floor.
+  limit of the round-trip map, the damped-oscillator flow of
+  :func:`kanai_cavity.core.oscillator_flow` read on each mirror; it
+  resolves the adiabatic spot-size law far below the per-trip floor.
 
 Spot sizes are reported as twice the intensity standard deviation, which for
 a fundamental Gaussian equals the 1/e^2 intensity radius.
@@ -472,9 +471,8 @@ def split_step_round_trip(field, m):
         a_el, b_el, d_el = (a_el + 1.0) / root, b_el / root, (d_el + 1.0) / root
         pieces *= 2
     lam, n = field.wavelength, field.n_samples
-    # k pieces send x to a_k x - lambda b_k nu, with (a_k, b_k) the first
-    # row of the piece's k-th power; after each piece it must stay in the
-    # window
+    # k pieces send x to a_k x - lambda b_k nu, (a_k, b_k) the first row of
+    # the piece's k-th power: after every piece x must stay in the window
     x_edge, nu_mean, nu_std = field._chirp_stats
     a_k, b_k, c_el, reach = 1.0, 0.0, (a_el * d_el - 1.0) / b_el, 0.0
     for _ in range(pieces):
@@ -536,9 +534,8 @@ def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
     The left-mirror q starts at ``q0``, the right-mirror q at its half-trip
     image.  Each follows its mirror's continuum flow kk [[0, b], [c, 0]],
     kk = theta / sin(theta); as kk^2 b c = -theta^2 on both mirrors, both
-    are read off the damped-oscillator flow :func:`oscillator_flow` at the
-    integer trips, with e^g at trip n, b0 = ``sched.b0`` and c0' =
-    ``sched.right_c0``:
+    are read off the damped-oscillator flow :func:`oscillator_flow`, with
+    e^g at trip n, b0 = ``sched.b0`` and c0' = ``sched.right_c0``:
 
         left  (p11, p12, p21, p22) = (u2, kk b0 u1, e^g u2'/(kk b0), e^g u1')
         right (p11, p12, p21, p22) = (e^g u1', e^g u2'/(kk c0'), kk c0' u1, u2)
