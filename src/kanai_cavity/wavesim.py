@@ -10,9 +10,9 @@ Three engines propagate the transverse field at the left mirror:
 * ``split_step`` -- the same round-trip matrix applied exactly on a fixed
   grid, as a chirp kick, a free-propagation drift and a second kick.
 * ``gaussian_q`` -- the complex beam parameter carried by the continuum
-  limit of the round-trip map, the damped-oscillator flow of
-  :func:`kanai_cavity.core.oscillator_flow` read on each mirror; it
-  resolves the adiabatic spot-size law far below the per-trip floor.
+  limit of the round-trip map, read on each mirror off the damped-oscillator
+  flow :func:`kanai_cavity.core.oscillator_flow`; it resolves the adiabatic
+  spot-size law far below the per-trip discretization floor.
 
 Spot sizes are reported as twice the intensity standard deviation, which for
 a fundamental Gaussian equals the 1/e^2 intensity radius.
