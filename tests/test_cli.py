@@ -665,6 +665,27 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert project["dependencies"] == ["numpy>=1.24"]
 
 
+def test_stability_run_imports_no_fractions_or_decimal(tmp_path):
+    # Exact rational arithmetic would cost every CLI process its import;
+    # the 17-digit writer needs neither module.
+    from test_golden import README_SCENARIO
+
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(README_SCENARIO))
+    child = ("import json, sys\n"
+             "from kanai_cavity import cli\n"
+             "code = cli.main(['stability', '--config', sys.argv[1], "
+             "'--out', sys.argv[2]])\n"
+             "print(json.dumps([code, sorted({'fractions', 'decimal'} "
+             "& set(sys.modules))]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert (tmp_path / "out" / "stability_raster.csv").is_file()
+
+
 def test_console_script_entry_point(tmp_path):
     script = _declared_script_launcher(tmp_path)
     env = _child_env()

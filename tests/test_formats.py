@@ -4,10 +4,14 @@
 the per-cell formatter it replaced, and the two must agree byte for byte.
 """
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kanai_cavity._formats import CSV_CHUNK_ROWS, csv_text, json_text
 from kanai_cavity.errors import NumericalError
@@ -44,6 +48,80 @@ def assert_same_text(columns):
 
 def float_from_bits(bits):
     return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def scaled_fraction(x):
+    """The part of |x| * 10**(16 - e) below 1, exactly, where the decade e
+    puts that product in [1e16, 1e17): what ``%.16e`` rounds away."""
+    scaled = abs(Fraction(x)) * Fraction(10) ** (16 - math.floor(
+        math.log10(abs(x))))
+    while scaled >= 10**17:
+        scaled /= 10
+    while scaled < 10**16:
+        scaled *= 10
+    return scaled - math.floor(scaled)
+
+
+def powers_of_ten():
+    """Every power of ten from 1e-320 to 1e308 and its +-1-ulp neighbours."""
+    tens = np.array([float("1e%d" % k) for k in range(-320, 309)])
+    return np.concatenate([np.nextafter(tens, 0.0), tens,
+                           np.nextafter(tens, np.inf)])
+
+
+def exact_ties():
+    """x = t / 2**(m + 1) with t odd, m = 0..24, in the decade that makes
+    x * 10**m, and so its 17-digit remainder, an odd multiple of 1/2.
+
+    No such t is below 2**53 for m = 0; later m give up to 64 ties each.
+    """
+    ties = []
+    for m in range(25):
+        lo = -(-2 * 10**16 // 5**m) | 1
+        hi = min(2 * 10**17 // 5**m, 2**53)
+        odd = range(lo, hi, 2)
+        picks = sorted({odd[i] for i in np.linspace(
+            0, len(odd) - 1, min(64, len(odd))).astype(int)}) if odd else []
+        ties += [math.ldexp(t, -(m + 1)) for t in picks]
+    return np.array(ties + [-t for t in ties])
+
+
+FLOAT64_PARTS = (st.booleans(), st.integers(0, 2047),
+                 st.integers(0, 2**52 - 1))
+FLOAT32_PARTS = (st.booleans(), st.integers(0, 255),
+                 st.integers(0, 2**23 - 1))
+
+
+@st.composite
+def bit_pattern_columns(draw):
+    """A float64 and a float32 column drawn as sign, exponent and mantissa,
+    so every exponent (subnormals, inf and NaN payloads too) turns up."""
+    n = draw(st.integers(1, 32))
+    wide = draw(st.lists(st.tuples(*FLOAT64_PARTS), min_size=n, max_size=n))
+    narrow = draw(st.lists(st.tuples(*FLOAT32_PARTS), min_size=n,
+                           max_size=n))
+    return [
+        np.array([s << 63 | e << 52 | m for s, e, m in wide],
+                 dtype=np.uint64).view(np.float64),
+        np.array([s << 31 | e << 23 | m for s, e, m in narrow],
+                 dtype=np.uint32).view(np.float32),
+    ]
+
+
+def test_constructed_ties_are_exact():
+    ties = exact_ties()
+    assert len(ties) > 2000
+    assert all(scaled_fraction(x) == Fraction(1, 2) for x in ties)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(bit_pattern_columns())
+@example([powers_of_ten()])
+@example([exact_ties()])
+@example([np.arange(10.0**5 + 1)])
+@example([np.array([5e-324, 1.7976931348623157e308, -5e-324])])
+def test_float_cells_match_the_per_cell_formatter(columns):
+    assert_same_text(columns)
 
 
 def test_signed_zeros_stay_apart():
