@@ -2,9 +2,11 @@
 
 All floating-point values are rendered with 17 significant digits in
 lowercase scientific notation so that identical runs produce byte-identical
-files on every platform.  Files are written atomically (temp file in the
-target directory, then rename) so a failed run never leaves a partial data
-file behind.
+files on every platform.  CSV cells are formatted in numpy, each distinct
+float's digits from a double-double product, with :func:`format_float` for
+zero, inf, NaN, extreme magnitudes and exact ties; rows are assembled as
+bytes.  Files are written atomically (temp file in the target directory,
+then rename) so a failed run never leaves a partial data file behind.
 """
 
 import json
@@ -22,32 +24,116 @@ def format_float(x):
     return "{:.16e}".format(float(x))
 
 
-#: Rows joined per chunk, which bounds the cell lists alive at once.
+#: Rows assembled per chunk, which bounds the byte matrix alive at once.
 CSV_CHUNK_ROWS = 8192
+
+#: ASCII digits as numbers whose little-endian bytes are the text, so that
+#: one gather writes four characters: "0".."9", "00".."99", "0000".."9999".
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_PAIRS = (_DIGIT[:, None] | _DIGIT << 8).ravel()
+_QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel()
+#: "000e" to "999e": the last three digits and the exponent mark.
+_TRIPLES = (_PAIRS[:, None] | (_DIGIT | ord("e") << 8) << 16).ravel()
+#: "d.d" for the two leading digits, after a 0 byte that is the sign's place.
+_LEADS = (_DIGIT[:, None] << 8 | ord(".") << 16 | _DIGIT << 24).ravel()
+_E = np.arange(-999, 1000)
+#: "-999" to "+999" indexed by e + 999; a 0 byte pads "+05" for e = 5.
+_EXPONENTS = (np.where(_E < 0, ord("-"), ord("+"))
+              | np.where(abs(_E) >= 100, _DIGIT[abs(_E) // 100], 0) << 8
+              | _PAIRS[abs(_E) % 100] << 16)
+#: Magnitudes formatted in numpy: there Veltkamp's split cannot overflow,
+#: |e| <= _E_MAX before e's correction and 10**(16 - e) is two normal floats.
+_FORMATTED, _E_MAX = (1e-280, 1e280), 281
+
+
+def _power_of_ten(k):
+    """10**k as floats hi + lo, each correctly rounded, from int arithmetic."""
+    num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of 26 bits or fewer."""
+    t = a * 134217729.0
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled(mag, e):
+    """floor(mag * 10**(16 - e)) as int64 and the fraction above it, from
+    a double-double product (Dekker, Numer. Math. 18, 224 (1971)): ``mag *
+    hi``, its exact rounding error and ``mag * lo``.  Its relative error is
+    near 2**-104, under 1e-14 of a unit in the 17th digit."""
+    table = np.zeros((2, 2 * _E_MAX + 1))
+    for i in np.flatnonzero(np.bincount(e + _E_MAX)):
+        table[:, i] = _power_of_ten(16 + _E_MAX - int(i))
+    hi, lo = table[:, e + _E_MAX]
+    head = mag * hi
+    (a1, a2), (b1, b2) = _split(mag), _split(hi)
+    tail = (((a1 * b1 - head) + a1 * b2 + a2 * b1) + a2 * b2) + mag * lo
+    whole = np.floor(tail)
+    return head.astype(np.int64) + whole.astype(np.int64), tail - whole
+
+
+def _float_cells(values):
+    """The ``%.16e`` text of each float64, as NUL-padded ``S24`` cells.
+
+    The 17 digits are the double-double product rounded half up.  Zero,
+    NaN, inf, magnitudes outside ``_FORMATTED``, values whose fraction lies
+    within 1e-6 of one half (exact ties, which dtoa rounds half-to-even)
+    and the rare decade the product cannot settle (1e20, whose scaled value
+    is exactly 1e16) are written by :func:`format_float` instead.
+    """
+    mag = np.abs(values)
+    inside = (mag >= _FORMATTED[0]) & (mag < _FORMATTED[1])
+    mag[~inside] = 1.0
+    e = np.floor(np.log10(mag)).astype(np.int64)
+    digits, frac = _scaled(mag, e)
+    off = (digits < 10**16) | (digits >= 10**17)
+    e[off] += np.sign(digits[off] - 10**16)
+    digits[off], frac[off] = _scaled(mag[off], e[off])
+    fallback = ~inside | (np.abs(frac - 0.5) < 1e-6) | (
+        digits < 10**16) | (digits >= 10**17)
+    digits += frac > 0.5
+    e += digits == 10**17
+    digits[(digits == 10**17) | fallback] = 10**16
+
+    words = np.empty((values.size, 6), dtype="<u4")
+    words[:, 0] = _LEADS[digits // 10**15] | np.signbit(values) * ord("-")
+    for j, scale in enumerate((10**11, 10**7, 10**3)):
+        words[:, 1 + j] = _QUADS[digits // scale % 10000]
+    words[:, 4] = _TRIPLES[digits % 1000]
+    words[:, 5] = _EXPONENTS[e + 999]
+    cells = words.view("S24")[:, 0]
+    cells[fallback] = [format_float(v) for v in values[fallback]]
+    return cells
 
 
 def _distinct_cells(column):
     """Format each distinct value once; row i's text is ``cells[index[i]]``.
 
-    Floats are matched by bit pattern, keeping 0.0 and -0.0 (and NaN
-    payloads) apart; bools and integers are written as decimal ints.
+    ``cells`` holds NUL-padded bytes.  Floats are matched by bit pattern,
+    keeping 0.0 and -0.0 (and NaN payloads) apart; bools and integers are
+    written as decimal ints.
     """
     if column.dtype.kind == "f":
-        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-        distinct, index = np.unique(bits, return_inverse=True)
-        template, values = "%.16e\n", distinct.view(np.float64).tolist()
-    else:
-        distinct, index = np.unique(column, return_inverse=True)
-        template, values = "%d\n", distinct.tolist()
-    cells = (template * len(values) % tuple(values)).split("\n")[:-1]
-    return np.array(cells, dtype=object), index
+        with np.errstate(invalid="ignore"):
+            wide = np.ascontiguousarray(column, dtype=np.float64)
+        distinct, index = np.unique(wide.view(np.int64), return_inverse=True)
+        return _float_cells(distinct.view(np.float64)), index
+    distinct, index = np.unique(column, return_inverse=True)
+    cells = "%d\n" * distinct.size % tuple(distinct.tolist())
+    return np.array(cells.split("\n")[:-1], dtype=bytes), index
 
 
 def csv_text(header, columns):
     """Build the full text of a CSV file from a header and 1-D columns.
 
     Float cells carry the bytes of :func:`format_float`; bool and integer
-    cells are decimal ints.
+    cells are decimal ints.  Each chunk of rows is one uint8 matrix: the
+    cells gathered by index and the separators, less the NUL padding.
     """
     columns = [np.asarray(col) for col in columns]
     if (len(columns) != len(header) or any(col.ndim != 1 for col in columns)
@@ -55,11 +141,19 @@ def csv_text(header, columns):
         raise ValueError("CSV needs one 1-D column per header name, "
                          "all of equal length")
     formatted = [_distinct_cells(col) for col in columns]
+    width = sum(cells.itemsize + 1 for cells, _ in formatted)
+    size = columns[0].size if columns else 0
     parts = [",".join(header) + "\n"]
-    for lo in range(0, columns[0].size if columns else 0, CSV_CHUNK_ROWS):
-        chunk = [cells[index[lo:lo + CSV_CHUNK_ROWS]].tolist()
-                 for cells, index in formatted]
-        parts.append("\n".join(map(",".join, zip(*chunk))) + "\n")
+    for lo in range(0, size, CSV_CHUNK_ROWS):
+        rows = np.full((min(CSV_CHUNK_ROWS, size - lo), width), ord(","),
+                       dtype=np.uint8)
+        at = 0
+        for cells, index in formatted:
+            taken = cells.take(index[lo:lo + CSV_CHUNK_ROWS]).view(np.uint8)
+            rows[:, at:at + cells.itemsize] = taken.reshape(len(rows), -1)
+            at += cells.itemsize + 1
+        rows[:, -1] = ord("\n")
+        parts.append(rows[rows != 0].tobytes().decode("ascii"))
     return "".join(parts)
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kanai_cavity import _formats
 from kanai_cavity._formats import CSV_CHUNK_ROWS, csv_text, json_text
 from kanai_cavity.errors import NumericalError
 from kanai_cavity.paraxial import stability_map
@@ -122,6 +123,30 @@ def test_constructed_ties_are_exact():
 @example([np.array([5e-324, 1.7976931348623157e308, -5e-324])])
 def test_float_cells_match_the_per_cell_formatter(columns):
     assert_same_text(columns)
+
+
+def test_fallback_formats_only_zeros_nan_and_exact_ties(monkeypatch):
+    """``format_float`` writes a CSV float only where the numpy digits
+    cannot: zero, NaN and the exact ties that dtoa rounds half-to-even."""
+    fell = []
+    scalar = _formats.format_float
+    monkeypatch.setattr(_formats, "format_float",
+                        lambda x: fell.append(float(x)) or scalar(x))
+    theta = stability_map((0.0, 4.0), (0.0, 4.0), 400).columns()[3]
+    tens = np.array([float("1e%d" % k) for k in range(-250, 251)])
+    # Where log10 rounds up, at about half the values just below 10**n,
+    # their decade is corrected, not handed to the fallback.
+    near = np.concatenate([np.nextafter(tens, 0.0), np.nextafter(tens, 1e300)])
+    near_ties = sum(scaled_fraction(x) == Fraction(1, 2) for x in near)
+    for column, expected in ((np.arange(3001.0), 1),
+                             (np.linspace(0.0, 4.0, 400), 1), (theta, 2),
+                             (near, near_ties),
+                             (exact_ties(), exact_ties().size)):
+        fell.clear()
+        csv_text(["x"], [column])
+        assert len(fell) == expected
+        assert all(x == 0.0 or math.isnan(x)
+                   or scaled_fraction(x) == Fraction(1, 2) for x in fell)
 
 
 def test_signed_zeros_stay_apart():
