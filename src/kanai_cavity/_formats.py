@@ -2,11 +2,9 @@
 
 All floating-point values are rendered with 17 significant digits in
 lowercase scientific notation so that identical runs produce byte-identical
-files on every platform.  CSV cells are formatted in numpy, each distinct
-float's digits from a double-double product, with :func:`format_float` for
-zero, inf, NaN, extreme magnitudes and exact ties; rows are assembled as
-bytes.  Files are written atomically (temp file in the target directory,
-then rename) so a failed run never leaves a partial data file behind.
+files on every platform, CSV cells in numpy (see :func:`_float_cells`).
+Files are written atomically (temp file in the target directory, then
+rename) so a failed run never leaves a partial data file behind.
 """
 
 import json
@@ -78,14 +76,11 @@ def _scaled(mag, e):
 
 
 def _float_cells(values):
-    """The ``%.16e`` text of each float64, as NUL-padded ``S24`` cells.
-
-    The 17 digits are the double-double product rounded half up.  Zero,
-    NaN, inf, magnitudes outside ``_FORMATTED``, values whose fraction lies
-    within 1e-6 of one half (exact ties, which dtoa rounds half-to-even)
-    and the rare decade the product cannot settle (1e20, whose scaled value
-    is exactly 1e16) are written by :func:`format_float` instead.
-    """
+    """The ``%.16e`` text of each float64 as NUL-padded ``S24`` cells: the
+    double-double product rounded half up, or :func:`format_float` for zero,
+    NaN, inf, magnitudes outside ``_FORMATTED``, fractions within 1e-6 of
+    one half (exact ties, which dtoa rounds half-to-even) and the rare
+    decade the product cannot settle (1e20 scales to exactly 1e16)."""
     mag = np.abs(values)
     inside = (mag >= _FORMATTED[0]) & (mag < _FORMATTED[1])
     mag[~inside] = 1.0
@@ -111,18 +106,15 @@ def _float_cells(values):
     return cells
 
 
-def _distinct_cells(column):
-    """Format each distinct value once; row i's text is ``cells[index[i]]``.
-
-    ``cells`` holds NUL-padded bytes.  Floats are matched by bit pattern,
-    keeping 0.0 and -0.0 (and NaN payloads) apart; bools and integers are
-    written as decimal ints.
-    """
+def _distinct(column):
+    """A column's distinct values and each row's index into them: floats
+    as float64, matched by bit pattern so that 0.0 and -0.0 (and NaN
+    payloads) stay apart; bools and integers as their decimal text."""
     if column.dtype.kind == "f":
         with np.errstate(invalid="ignore"):
             wide = np.ascontiguousarray(column, dtype=np.float64)
         distinct, index = np.unique(wide.view(np.int64), return_inverse=True)
-        return _float_cells(distinct.view(np.float64)), index
+        return distinct.view(np.float64), index
     distinct, index = np.unique(column, return_inverse=True)
     cells = "%d\n" * distinct.size % tuple(distinct.tolist())
     return np.array(cells.split("\n")[:-1], dtype=bytes), index
@@ -133,14 +125,22 @@ def csv_text(header, columns):
 
     Float cells carry the bytes of :func:`format_float`; bool and integer
     cells are decimal ints.  Each chunk of rows is one uint8 matrix: the
-    cells gathered by index and the separators, less the NUL padding.
+    cells of the distinct values gathered by index and the separators, less
+    the NUL padding.
     """
     columns = [np.asarray(col) for col in columns]
     if (len(columns) != len(header) or any(col.ndim != 1 for col in columns)
             or len({col.size for col in columns}) > 1):
         raise ValueError("CSV needs one 1-D column per header name, "
                          "all of equal length")
-    formatted = [_distinct_cells(col) for col in columns]
+    found = [_distinct(col) for col in columns]
+    # One kernel call for all the floats: it costs ~70 us even for one value.
+    floats = [values for values, _ in found if values.dtype == np.float64]
+    float_cells = iter(np.split(
+        _float_cells(np.concatenate([np.zeros(0)] + floats)),
+        np.cumsum([values.size for values in floats])))
+    formatted = [(next(float_cells) if values.dtype == np.float64 else values,
+                  index) for values, index in found]
     width = sum(cells.itemsize + 1 for cells, _ in formatted)
     size = columns[0].size if columns else 0
     parts = [",".join(header) + "\n"]

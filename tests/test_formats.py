@@ -134,8 +134,8 @@ def test_fallback_formats_only_zeros_nan_and_exact_ties(monkeypatch):
                         lambda x: fell.append(float(x)) or scalar(x))
     theta = stability_map((0.0, 4.0), (0.0, 4.0), 400).columns()[3]
     tens = np.array([float("1e%d" % k) for k in range(-250, 251)])
-    # Where log10 rounds up, at about half the values just below 10**n,
-    # their decade is corrected, not handed to the fallback.
+    # log10 rounds up to n at 499 of the 501 values just below 10**n: their
+    # decade is corrected, not handed to the fallback.
     near = np.concatenate([np.nextafter(tens, 0.0), np.nextafter(tens, 1e300)])
     near_ties = sum(scaled_fraction(x) == Fraction(1, 2) for x in near)
     for column, expected in ((np.arange(3001.0), 1),
