@@ -2,7 +2,7 @@
 
 All floating-point values are rendered with 17 significant digits in
 lowercase scientific notation so that identical runs produce byte-identical
-files on every platform, CSV cells in numpy (see :func:`_float_cells`).
+files on every platform; numpy writes the CSV cells (:func:`_float_cells`).
 Files are written atomically (temp file in the target directory, then
 rename) so a failed run never leaves a partial data file behind.
 """
