@@ -24,6 +24,7 @@ the stability raster.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -396,7 +397,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The argument parser, built once: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="kanai-cavity",
         description="Damped-oscillator optics scenarios: stability maps, "
@@ -411,7 +414,11 @@ def main(argv=None):
                               "from the config, else the working directory)")
         cmd.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility; has no effect")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         if args.jobs < 1:

@@ -22,7 +22,6 @@ equals ``exp(-g(n))`` identically, which doubles as the module's main
 self-test.
 """
 
-import array
 import csv
 import math
 
@@ -309,12 +308,13 @@ def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
     run = run.reshape(4, -1, block)
     for j in range(1, block):
         run[:, :, j] = _times(run[:, :, j], run[:, :, j - 1])
-    p = tuple(float(x) for x in start)
-    ends = array.array("d", p)
-    for e in zip(*run[:, :, -1].tolist()):
-        p = _times(e, p)
-        ends.extend(p)
-    ends = np.frombuffer(ends).reshape(-1, 4).T
+    ends = [float(x) for x in start]
+    p11, p12, p21, p22 = ends
+    for e11, e12, e21, e22 in zip(*run[:, :, -1].tolist()):
+        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
+                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
+        ends += (p11, p12, p21, p22)
+    ends = np.array(ends).reshape(-1, 4).T
     run[:, :, :-1] = _times(run[:, :, :-1], ends[:, :-1, None])
     run[:, :, -1] = ends[:, 1:]
     return np.concatenate((ends[:, :1], run.reshape(4, -1)[:, :k]), axis=1).T

@@ -30,8 +30,8 @@ from .errors import (MappingError, NearCausticError, NumericalError,
                      ValidationError)
 from .paraxial import AbcdMatrix, round_trip_matrix, stability
 from .wavesim import (DEFAULT_GRID_N, DEFAULT_WINDOW_FACTOR, ComplexField,
-                      GaussianBeam, fresnel_round_trip, phase_aligned_l2,
-                      sample_beam, spot_size)
+                      GaussianBeam, _gaussian, fresnel_round_trip,
+                      phase_aligned_l2, sample_beam, spot_size)
 
 
 class QuantumParams:
@@ -111,14 +111,16 @@ def free_gaussian(packet, x, t, hbar, mass):
 
 
 def _uniform_grid(x):
-    """``x`` as a float array and its step x[1] - x[0]; must be uniform."""
+    """``x`` as a float array and its spacing over the whole grid, which
+    carries a rounding of one step, not of the step's position; the grid
+    must be uniform."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("x must be a 1-d grid with >= 2 points")
-    dx = x[1] - x[0]
+    dx = (x[-1] - x[0]) / (x.size - 1)
     if dx <= 0.0 or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * dx:
         raise ValidationError("x must be uniformly increasing")
-    return x, dx
+    return x, float(dx)
 
 
 def kanai_propagate(packet, sol, params, x, n):
@@ -139,15 +141,18 @@ def kanai_propagate(packet, sol, params, x, n):
     n = float(n)
     u1, u2, du2 = (float(v) for v in (sol.u1(n), sol.u2(n), sol.du2(n)))
     w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
-    return _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian)
+    return _propagate(packet, params, (x.size, float(x[0]), dx,
+                                       float(x[x.size // 2])),
+                      n, u1, u2, du2, w_ronskian)
 
 
-def _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian,
+def _propagate(packet, params, grid, n, u1, u2, du2, w_ronskian,
                frame=None):
     """:func:`kanai_propagate` from the float values of u1, u2, u2' and W
-    at trip n.  With the pending chirp rate ``frame`` of a Fresnel output
-    on the same centred grid, alpha and beta absorb exp(-i frame s^2) and
-    (-1)^s, s = x / dx, and the field is returned in that chirp frame."""
+    at trip n, on the ``grid`` (size, x0, dx, x_mid) of the points x0 +
+    j dx, x_mid = x0 + (size // 2) dx.  With the pending chirp rate
+    ``frame`` of a Fresnel output on the same grid, the field is returned
+    in that chirp frame (see :func:`wavesim._gaussian`)."""
     if abs(u2) <= 1e-12:
         raise NearCausticError(
             "caustic at n = %g: |u2| = %g" % (n, abs(u2)))
@@ -169,17 +174,15 @@ def _propagate(packet, params, x, dx, n, u1, u2, du2, w_ronskian,
     beta = (2.0 * q * x_c + 1j * momentum / hbar) / u2
     c = (cmath.log(amplitude) - q * x_c * x_c
          - 1j * momentum * momentum * t / (2.0 * mass * hbar))
-    if frame is not None:
-        alpha -= 1j * frame / (dx * dx)
-        beta += 1j * math.pi / dx
     if not all(map(cmath.isfinite, (alpha, beta, c))):
         raise NumericalError(
             "analytic propagator coefficients are not finite at n = %g" % n)
-    samples = np.exp((alpha * x + beta) * x + c)
+    size, x0, dx, x_mid = grid
+    samples = _gaussian(size, x_mid, dx, alpha, beta, c, frame)
     if not np.all(np.isfinite(samples)):
         raise NumericalError(
             "analytic propagator samples are not finite at n = %g" % n)
-    return ComplexField(samples, dx, float(x[0]), 2.0 * math.pi * hbar,
+    return ComplexField(samples, dx, x0, 2.0 * math.pi * hbar,
                         "left_mirror", None if frame is None else (frame, 1.0))
 
 
@@ -280,8 +283,10 @@ def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
     records = []
     for n in range(n_max + 1):
         # in the wave field's chirp frame, the inner product needs no chirp
-        analytic = _propagate(packet, params, field.grid, field.dx, float(n),
-                              float(u1[n]), float(u2[n]), float(du2[n]),
+        grid = (field.n_samples, field.x0, field.dx,
+                field.x0 + (field.n_samples // 2) * field.dx)
+        analytic = _propagate(packet, params, grid, float(n), float(u1[n]),
+                              float(u2[n]), float(du2[n]),
                               float(w_ronskian[n]), field._rate)
         # numpy scalars, as in a scalar moments() call (see its docstring)
         x_mean, delta_x = _moments(packet, params, u1[n], u2[n])

@@ -54,16 +54,84 @@ def _is_power_of_two(n):
 
 @functools.lru_cache(maxsize=8)
 def _tables(n):
-    """Read-only tables of an n-point grid, once per size: the index j, the
-    rows [1, s, s^2] of the centred index s = j - n//2, and k^2 and (-1)^k
-    for k = 0..n/2."""
+    """Read-only tables of an n-point grid, once per size: the index j and
+    the rows [1, s, s^2] of the centred index s = j - n//2."""
     j = np.arange(n, dtype=float)
-    k = np.arange(n // 2 + 1)
-    tables = (j, np.stack((np.ones(n), j - n // 2, (j - n // 2) ** 2)),
-              (k * k).astype(float), 1.0 - 2.0 * (k % 2))
+    tables = (j, np.stack((np.ones(n), j - n // 2, (j - n // 2) ** 2)))
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+@functools.lru_cache(maxsize=16)
+def _digits(m, first):
+    """Read-only digit tables of s = first + j over j = 0..m-1, m = 2^p.
+
+    j = q B + u C + v with digits v < C, u < B/C and q < m/B of about
+    m^(1/3) values each.  With t = first + q B + u C,
+
+        a s^2 + b s = (a t^2 + b t) + (a (2 (t - u C) + v) v + b v)
+                      + a (2 u C v),
+
+    a function of (q, u), of (q, v) and of (u, v).  Returns the shape
+    (m/B, B/C, C) and, over the three blocks concatenated, the integer
+    coefficients of a and of b and the signs (-1)^t and (-1)^v, whose
+    product is (-1)^s.
+    """
+    p = m.bit_length() - 1
+    width = -(-p // 3)
+    c = 1 << width
+    r = 1 << -(-(p - width) // 2)
+    q = np.arange(m // (r * c))[:, None] * (r * c) + first
+    u = np.arange(r)[:, None] * c
+    v = np.arange(c)
+    t = (q + u.T).ravel()
+    cross = (2 * q + v) * v
+    blocks = np.concatenate((t * t, cross.ravel(), (2 * u * v).ravel()))
+    linear = np.concatenate((t, np.broadcast_to(v, cross.shape).ravel(),
+                             np.zeros(r * c, dtype=int)))
+    parity = np.concatenate((t, linear[t.size:])) % 2
+    tables = ((q.size, r, c), blocks.astype(float), linear.astype(float),
+              1.0 - 2.0 * parity)
+    for table in tables[1:]:
+        table.flags.writeable = False
+    return tables
+
+
+def _quadratic_phase(n, a, b=0.0, scale=1.0, signed=False, half=False):
+    """scale [(-1)^s] exp(i (a s^2 + b s)) on the centred index
+    s = j - n//2, j = 0..n-1; with ``half``, on s = k = 0..n/2.
+
+    cos and sin are evaluated on the phases of the digit pairs of
+    :func:`_digits`, about 3 n^(2/3) of them, and their three factors
+    multiply to the table in two full-size complex products.  The digits
+    count from s = 0, the grid centre, where the fields live: counted from
+    j = 0 the factors would carry phases near a n^2 there, and their
+    rounding with them.  (-1)^s is an exact sign.
+    """
+    m = n // 2 if half else n
+    (nq, nr, nc), blocks, linear, parity = _digits(m, 0 if half else -(m // 2))
+    phase = a * blocks
+    if b:
+        phase += b * linear
+    factors = np.empty(phase.size, dtype=complex)
+    np.cos(phase, out=factors.real)
+    np.sin(phase, out=factors.imag)
+    if signed:
+        factors *= parity
+    qu = factors[:nq * nr].reshape(nq, nr, 1)
+    if scale != 1.0:
+        qu *= scale
+    out = np.empty(m + half, dtype=complex)
+    body = out[:m].reshape(nq, nr, nc)
+    np.multiply(qu, factors[nq * nr:nq * (nr + nc)].reshape(nq, 1, nc),
+                out=body)
+    body *= factors[nq * (nr + nc):].reshape(nr, nc)
+    if half:
+        last = a * (m * m) + b * m
+        sign = 1 - 2 * (m % 2) if signed else 1
+        out[m] = sign * scale * complex(math.cos(last), math.sin(last))
+    return out
 
 
 class ComplexField:
@@ -122,8 +190,7 @@ class ComplexField:
     @property
     def samples(self):
         if self._samples is None:
-            samples = _chirp(self._raw.size, self._rate, self._scale)
-            samples *= self._raw
+            samples = _chirped(self._raw, self._rate, self._scale)
             samples.flags.writeable = False
             self._samples = samples
         return self._samples
@@ -229,17 +296,50 @@ def sample_beam(beam, wavelength, n_samples=DEFAULT_GRID_N, dx=None,
     w = beam.spot_size(wavelength)
     if dx is None:
         dx = window_factor * w / n_samples
-    x = centered_grid(n_samples, dx)
-    k = 2.0 * math.pi / wavelength
-    psi = np.exp(-1j * math.pi * (x - beam.center) ** 2 / (wavelength * beam.q)
-                 - 1j * k * beam.tilt * x)
+    # -i pi (x - center)^2 / (lambda q) - i k tilt x
+    alpha = -1j * math.pi / (wavelength * beam.q)
+    psi = _gaussian(n_samples, 0.0, dx, alpha,
+                    -2.0 * alpha * beam.center
+                    - 2j * math.pi / wavelength * beam.tilt,
+                    alpha * beam.center ** 2)
     norm_sq = float(np.sum(np.abs(psi) ** 2)) * dx
     if not 0.0 < norm_sq < math.inf:
         raise ValidationError(
             "sampled beam has squared norm %r on the %d-point window; the "
             "beam must lie inside the window" % (norm_sq, n_samples))
     psi *= beam.amplitude / math.sqrt(norm_sq)
-    return ComplexField(psi, dx, x[0], wavelength, plane_tag)
+    return ComplexField(psi, dx, -(n_samples // 2) * dx, wavelength, plane_tag)
+
+
+def _gaussian(n, x_mid, dx, alpha, beta, c=0j, frame=None):
+    """exp((alpha x + beta) x + c) on x = x_mid + s dx, s = j - n//2.
+
+    The real part of the exponent is written as a completed square, so
+    the envelope is one real ``exp`` about its own centre; the imaginary
+    part is the phase of :func:`_quadratic_phase`.  With ``frame`` the
+    samples are those of a field whose pending chirp has that rate: they
+    are divided by (-1)^s exp(i frame s^2).  An envelope that does not
+    decay (Re alpha >= 0) raises :class:`NumericalError`.
+    """
+    if not alpha.real < 0.0:
+        raise NumericalError("the Gaussian envelope does not decay: "
+                             "Re(alpha) = %r" % alpha.real)
+    centre = -beta.real / (2.0 * alpha.real)
+    envelope = _tables(n)[1][1] * dx
+    envelope += x_mid - centre
+    envelope *= envelope
+    envelope *= alpha.real
+    envelope += c.real + 0.5 * beta.real * centre
+    np.exp(envelope, out=envelope)
+    rate = alpha.imag * dx * dx
+    if frame is not None:
+        rate -= frame
+    samples = _quadratic_phase(
+        n, rate, (2.0 * alpha.imag * x_mid + beta.imag) * dx,
+        cmath.exp(1j * ((alpha.imag * x_mid + beta.imag) * x_mid + c.imag)),
+        signed=frame is not None)
+    samples *= envelope
+    return samples
 
 
 def spot_size(field):
@@ -352,24 +452,20 @@ def _check_chirp_sampling(field, a_elem, b_elem):
             % (nu_needed, nu_nyquist, suggested), suggested_n=suggested)
 
 
-def _chirp(n, beta, scale=1.0, signed=True):
-    """scale (-1)^s exp(i beta s^2) on the centred index s = j - n//2, or
-    without (-1)^s when not ``signed``.
+def _chirped(raw, beta, scale=1.0, signed=True):
+    """``raw`` times scale (-1)^s exp(i beta s^2) on the centred index
+    s = j - n//2, or without (-1)^s when not ``signed``.
 
-    The exponential is evaluated for |s| = 0..n/2 only and mirrored.  The
-    exact factor (-1)^s stands in for the shifts of a centred grid: for even
-    n, fftshift(fft(ifftshift(y))) = (-1)^(n/2) (-1)^s fft((-1)^s y), and
-    likewise with ifft.
+    The half table of :func:`_quadratic_phase` for |s| = 0..n/2 is
+    mirrored onto the samples.  The exact factor (-1)^s stands in for the
+    shifts of a centred grid: for even n, fftshift(fft(ifftshift(y))) =
+    (-1)^(n/2) (-1)^s fft((-1)^s y), and likewise with ifft.
     """
-    _, _, k_sq, sign = _tables(n)
-    phase = beta * k_sq
-    half = np.empty(k_sq.size, dtype=complex)
-    np.cos(phase, out=half.real)
-    np.sin(phase, out=half.imag)
-    half *= scale * sign if signed else scale
-    out = np.empty(n, dtype=complex)
-    out[:half.size] = half[::-1]
-    out[half.size:] = half[1:-1]
+    half = _quadratic_phase(raw.size, beta, scale=scale, signed=signed,
+                            half=True)
+    out = np.empty(raw.size, dtype=complex)
+    np.multiply(half[::-1], raw[:half.size], out=out[:half.size])
+    np.multiply(half[1:-1], raw[half.size:], out=out[half.size:])
     return out
 
 
@@ -391,10 +487,10 @@ def _diffract(field, m, check_sampling=True):
     lam, n, dx_in = field.wavelength, field.n_samples, field.dx
     beta = -math.pi * a_el * dx_in * dx_in / (lam * b_el)
     if field._rate is None:
-        pre = _chirp(n, beta)
+        pre = _chirped(field._raw, beta)
     else:
-        pre = _chirp(n, beta + field._rate, field._scale, signed=False)
-    pre *= field._raw
+        pre = _chirped(field._raw, beta + field._rate, field._scale,
+                       signed=False)
     if b_el < 0.0:
         spectrum = np.fft.fft(pre)
     else:
@@ -483,16 +579,29 @@ def split_step_round_trip(field, m):
     if reach > edge:
         raise SamplingError("a drift carries the field to %.3g, past the "
                             "window edge at %.3g" % (reach, edge))
+    # The kicks are expanded about the grid midpoint x_mid, x = x_mid + s dx.
     # No FFT shifts: the phase exp(-2 pi i nu x0) of the grid's offset
     # cancels between fft and ifft around the pointwise drift.
-    chirp = -1j * math.pi / (lam * b_el) * field.grid ** 2
-    first = np.exp((a_el - 1.0) * chirp)
-    last = first if d_el == a_el else np.exp((d_el - 1.0) * chirp)
-    drift = np.exp(1j * math.pi * lam * b_el * np.fft.fftfreq(n, field.dx) ** 2)
+    dx = field.dx
+    x_mid = field.x0 + (n // 2) * dx
+
+    def kick(e):
+        rate = -math.pi * e / (lam * b_el)
+        return _quadratic_phase(n, rate * dx * dx, 2.0 * rate * x_mid * dx,
+                                cmath.exp(1j * rate * x_mid * x_mid))
+
+    first = kick(a_el - 1.0)
+    last = first if d_el == a_el else kick(d_el - 1.0)
+    # exp(i pi lambda b nu^2) with nu = k / (n dx), mirrored into FFT order
+    half = _quadratic_phase(n, math.pi * lam * b_el / (n * dx) ** 2,
+                            half=True)
+    drift = np.concatenate((half, half[-2:0:-1]))
     between = last * first if pieces > 1 else None
     out = first * field.samples
     for piece in range(pieces, 0, -1):
-        out = np.fft.ifft(np.fft.fft(out) * drift)
+        spectrum = np.fft.fft(out)
+        spectrum *= drift
+        out = np.fft.ifft(spectrum)
         out *= between if piece > 1 else last
     return _carry(field, m, field.with_samples(out))
 

@@ -1,11 +1,15 @@
 """The grid engines as they stood before their trips carried the spectral
-moments and the Fresnel post-chirp.
+moments and the Fresnel post-chirp, and before their quadratic phases came
+from one angle-addition kernel.
 
 Every field's spectral mean and spread are measured by a fresh FFT, every
 Fresnel output gets its explicit post-chirp, and |psi|^2, its centroid and
-its variance are pairwise sums over the materialised samples.  The package
-now carries the moments through each trip's matrix and leaves the
-post-chirp pending; the tests hold it to these kernels.
+its variance are pairwise sums over the materialised samples.  Every phase
+is one cos/sin or complex exp per sample: the chirps of a mirrored half
+table, the split-step kicks and drift and the sampled beam.  The package
+now carries the moments through each trip's matrix, leaves the post-chirp
+pending and forms its phases from digit tables; the tests hold it to these
+kernels.
 """
 
 import cmath
@@ -16,7 +20,19 @@ import numpy as np
 from kanai_cavity.errors import (NearFocalPlaneError, NearInstabilityError,
                                  ResolutionError, SamplingError)
 from kanai_cavity.paraxial import AbcdMatrix
-from kanai_cavity.wavesim import ComplexField, sample_beam
+from kanai_cavity.wavesim import ComplexField, centered_grid
+
+
+def sample_beam(beam, wavelength, n_samples, dx=None, window_factor=16.0):
+    """The beam on a centred grid, one complex exp per sample."""
+    if dx is None:
+        dx = window_factor * beam.spot_size(wavelength) / n_samples
+    x = centered_grid(n_samples, dx)
+    k = 2.0 * math.pi / wavelength
+    psi = np.exp(-1j * math.pi * (x - beam.center) ** 2 / (wavelength * beam.q)
+                 - 1j * k * beam.tilt * x)
+    psi *= beam.amplitude / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
+    return ComplexField(psi, dx, x[0], wavelength)
 
 
 def intensity(field):

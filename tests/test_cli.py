@@ -686,6 +686,27 @@ def test_stability_run_imports_no_fractions_or_decimal(tmp_path):
     assert (tmp_path / "out" / "stability_raster.csv").is_file()
 
 
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # main parses with one parser built once: two runs of different commands
+    # and then a bad argv behave as with a fresh parser each call
+    cfg = write_config(tmp_path, run={"n_max": 20, "dn": 1})
+    assert cli.main(["ray", "--config", cfg, "--out",
+                     str(tmp_path / "ray")]) == 0
+    assert cli.main(["schedule", "--config", cfg, "--out",
+                     str(tmp_path / "schedule")]) == 0
+    assert (tmp_path / "ray" / "ray_fit.json").exists()
+    assert (tmp_path / "schedule" / "schedule.csv").exists()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["ray", "--config"])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: kanai-cavity ray [-h] --config CONFIG [--out OUT] "
+        "[--jobs JOBS]",
+        "kanai-cavity ray: error: argument --config: expected one argument"]
+    assert cli._parser() is cli._parser()
+
+
 def test_console_script_entry_point(tmp_path):
     script = _declared_script_launcher(tmp_path)
     env = _child_env()

@@ -2,8 +2,11 @@
 
 ``csv_text`` formats each distinct value of a column once; the oracle here is
 the per-cell formatter it replaced, and the two must agree byte for byte.
+``json_text`` formats a document's floats in one kernel call; its oracle is
+the recursive writer it replaced.
 """
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -190,6 +193,13 @@ def test_bool_and_integer_columns():
     assert_same_text(columns)
 
 
+def test_bool_columns_of_one_value_and_strided():
+    flags = np.random.default_rng(12).random(301) < 0.5
+    for column in (np.ones(40, dtype=bool), np.zeros(40, dtype=bool),
+                   flags[::3], flags[::-1]):
+        assert_same_text([column, np.arange(column.size)])
+
+
 def test_zero_and_one_row():
     assert csv_text(["a", "b"], [np.array([]), np.array([], dtype=int)]) \
         == "a,b\n"
@@ -242,3 +252,88 @@ def test_json_text_refuses_non_finite_floats(value):
     with pytest.raises(NumericalError, match="cannot write"):
         json_text(value)
 
+
+
+def reference_dump_json(obj, indent=0):
+    """The recursive JSON writer ``json_text`` replaced, kept as the oracle:
+    it formats each float and encodes each key as it meets them."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, val in obj.items():
+            items.append('{}{}: {}'.format(inner, json.dumps(str(key)),
+                                           reference_dump_json(val,
+                                                               indent + 1)))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        items = [inner + reference_dump_json(v, indent + 1) for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NumericalError("cannot write %r to JSON" % float(obj))
+        return "{:.16e}".format(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError("cannot serialize {!r} to JSON".format(type(obj)))
+
+
+def outcome(write, doc):
+    try:
+        return write(doc)
+    except (NumericalError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+#: Floats of every magnitude, as Python, float64 and float32 values.
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(
+        np.float32))
+JSON_SCALARS = st.one_of(JSON_FLOATS, st.integers(-2**70, 2**70),
+                         st.integers(-5, 5).map(np.int64), st.booleans(),
+                         st.none(), st.text(max_size=8))
+#: Keys, among them distinct keys with one text (1, 1.0 and True) and
+#: non-ASCII text.
+JSON_KEYS = st.one_of(st.sampled_from(["n", "l2_distance", "w", 1, 1.0, True,
+                                       None, "\u00e9", 'q"']),
+                      st.text(max_size=6))
+NESTED = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.tuples(inner, inner),
+    st.dictionaries(JSON_KEYS, inner, max_size=5)), max_leaves=30)
+#: Nested documents; report-like ones, whose record lists carry more floats
+#: than ``json_text`` formats one by one; and documents with one value no
+#: writer takes, a non-finite float or a type JSON has no place for.
+JSON_DOCS = st.one_of(
+    NESTED,
+    st.fixed_dictionaries({"records": st.lists(st.fixed_dictionaries(
+        {"n": st.integers(0, 500), "l2": JSON_FLOATS, "x": JSON_FLOATS,
+         "w": JSON_FLOATS, "y": JSON_FLOATS}, optional={"z": JSON_SCALARS}),
+        min_size=25, max_size=40), "max": JSON_FLOATS}),
+    st.lists(st.one_of(NESTED, st.sampled_from(
+        [math.nan, -math.inf, np.float32("inf"), 1j, b"x"])), min_size=2,
+        max_size=4))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(JSON_DOCS)
+@example([float(x) for x in np.random.default_rng(5).standard_normal(300)])
+@example({"records": [{"n": n, "l2_distance": n / 7.0, "zero": -0.0,
+                       "tie": 0.5 + n, "tiny": 5e-324 * n}
+                      for n in range(200)], "max": 1.7976931348623157e308})
+@example([0.1] * 150 + [float("nan")])
+def test_json_text_matches_the_recursive_writer(doc):
+    """The same bytes, or the same exception and message, as the writer
+    that formatted float by float."""
+    expected = outcome(lambda d: reference_dump_json(d) + "\n", doc)
+    assert outcome(json_text, doc) == expected

@@ -780,7 +780,7 @@ def split_n(l_over_f):
 @pytest.mark.parametrize("l_over_f", SPLIT_GEOMETRIES)
 def test_split_step_trip_is_the_fresnel_trip(l_over_f):
     """On the self-conjugate pitch both grid engines apply one map: relative
-    L2 <= 1e-12 (measured: at most 1.1e-13)."""
+    L2 <= 1e-12 (measured: at most 7.3e-15)."""
     for m in split_matrices(l_over_f):
         for n_samples in split_n(l_over_f):
             for field in split_fields(m, n_samples):
@@ -793,7 +793,7 @@ def test_split_step_trip_is_the_fresnel_trip(l_over_f):
 @pytest.mark.parametrize("l_over_f", SPLIT_GEOMETRIES)
 def test_split_step_trip_reproduces_the_eigenbeam(l_over_f):
     """On the default window one trip maps the eigenbeam onto itself up to
-    a phase: relative L2 <= 1e-12 (measured: at most 1.7e-14)."""
+    a phase: relative L2 <= 1e-12 (measured: at most 2.1e-15)."""
     for m in split_matrices(l_over_f):
         beam = eigenmode_beam(m)
         for n_samples in (256, 1024, 8192):
@@ -1164,3 +1164,95 @@ def test_grid_trips_follow_the_gaussian_abcd_law(a, b, c, q0, offset,
     for got, ref, scale in zip(field._moments, want,
                                (sx, sn, sx * sx, sx * sn, sn * sn)):
         assert abs(got - ref) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the quadratic-phase kernel against direct cos/sin, and the sampled beam
+# and chirps against the retired per-sample formulas (tests/grid_oracles.py)
+
+EPS = np.finfo(float).eps
+
+
+def _two_product(a, b):
+    """a * b and its rounding error, exactly (Veltkamp's split)."""
+    def split(x):
+        t = x * 134217729.0
+        return t - (t - x), x - (t - (t - x))
+    p = a * b
+    (a1, a2), (b1, b2) = split(a), split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def direct_phase(a, b, s):
+    """exp(i (a s^2 + b s)) by cos/sin of the phase taken as a
+    double-double hi + lo, so that the reference carries no rounding of
+    the phase itself."""
+    p1, e1 = _two_product(np.full(s.shape, a), s * s)
+    p2, e2 = _two_product(np.full(s.shape, b), s)
+    hi = p1 + p2
+    back = hi - p1
+    lo = e1 + e2 + (p1 - (hi - back)) + (p2 - back)
+    return (np.cos(hi) + 1j * np.sin(hi)) * np.exp(1j * lo)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 14), st.booleans(), st.booleans(), st.floats(0.0, 1.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0)))
+@example(14, False, False, 1.0, 0.0, 1.0, 1.0)
+@example(14, False, True, 1.0, 0.5, 1.0, -1.0)
+@example(13, True, True, 1.0, 0.0, -1.0, 1.0)
+@example(12, True, False, 1.0, 0.9, -1.0, -1.0)
+def test_quadratic_phase_matches_direct_cos_sin(p, half, signed, rate, share,
+                                                sign_a, sign_b):
+    """Centred (s = j - n/2) and half (s = 0..n/2) tables at rates up to
+    the Nyquist limit, |2 a s + b| <= pi, with and without the linear term:
+    |z - e^{i phi}| <= 32 eps (1 + |a| s^2 + |b| |s|), the rounding scale of
+    the phase's two terms (|phi| itself without the linear term), and
+    ||z| - 1| <= 4 eps; (-1)^s is exact."""
+    n = 2 ** p
+    a = sign_a * (1.0 - share) * rate * math.pi / n
+    b = sign_b * share * rate * math.pi
+    z = wavesim._quadratic_phase(n, a, b, signed=signed, half=half)
+    s = np.arange(n // 2 + 1.0) if half else np.arange(n) - n // 2.0
+    ref = direct_phase(a, b, s)
+    if signed:
+        ref *= 1.0 - 2.0 * (np.abs(s) % 2)
+    assert z.shape == s.shape
+    scale = 1.0 + abs(a) * s * s + abs(b) * np.abs(s)
+    assert np.all(np.abs(z - ref) <= 32.0 * EPS * scale)
+    assert np.all(np.abs(np.abs(z) - 1.0) <= 4.0 * EPS)
+
+
+@pytest.mark.parametrize("n_samples", ORACLE_N)
+def test_chirps_match_the_retired_half_table(n_samples):
+    """The Fresnel chirp against cos/sin on every |s| = 0..n/2, also past
+    the Nyquist rate and with a scale: within 32 eps |scale| (1 + |beta|
+    s^2), that formula's own rounding scale; without the sign, exactly
+    (-1)^s times it."""
+    s = np.arange(n_samples) - n_samples // 2
+    raw = np.ones(n_samples, dtype=complex)
+    for beta in (0.9 * math.pi / n_samples, -0.3 * math.pi / n_samples,
+                 2.5 * math.pi / n_samples, 0.0):
+        for scale in (1.0, 0.3 - 0.7j):
+            ref = grid_oracles.chirp(n_samples, beta, scale)
+            got = wavesim._chirped(raw, beta, scale)
+            assert np.all(np.abs(got - ref) <= 32.0 * EPS * abs(scale)
+                          * (1.0 + abs(beta) * s * s)), (beta, scale)
+            unsigned = wavesim._chirped(raw, beta, scale, signed=False)
+            assert np.array_equal(unsigned, got * (1 - 2 * (s % 2)))
+
+
+@pytest.mark.parametrize("n_samples", ORACLE_N)
+def test_sample_beam_matches_the_retired_exponential(n_samples):
+    """Centred, displaced and tilted beams on the default window and on a
+    wide one: the same grid, relative L2 <= 1e-12 against one complex exp
+    per sample."""
+    for center, tilt, window in ((0.0, 0.0, 16.0), (SPOT0, 2e-3, 16.0),
+                                 (-2.5 * SPOT0, -1e-3, 40.0)):
+        beam = GaussianBeam(EIGENBEAM.q, 1.3, center, tilt)
+        ref = grid_oracles.sample_beam(beam, WAVELENGTH, n_samples,
+                                       window_factor=window)
+        got = sample_beam(beam, WAVELENGTH, n_samples, window_factor=window)
+        assert (got.dx, got.x0) == (ref.dx, ref.x0)
+        assert rel_l2(ref, got) <= 1e-12, (center, tilt, window)
