@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kanai_cavity import kanai
 from kanai_cavity.core import FrictionProfile, OscillatorParams, fundamental_solutions
 from kanai_cavity.errors import MappingError, NearCausticError, ValidationError
 from kanai_cavity.kanai import (
@@ -341,6 +342,32 @@ def test_propagator_matches_the_first_kernel(n_samples):
                     got = kanai_propagate(packet, sol, PARAMS, x, n).samples
                     err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                     assert err <= 1e-12, (x[0], gamma, packet.center, n)
+
+
+@pytest.mark.parametrize("n_samples", [2, 256, 8192])
+def test_propagator_in_a_chirp_frame_materialises_to_the_first_kernel(
+        n_samples):
+    """The analytic field in the chirp frame of a Fresnel output, rate
+    beta, as the crosscheck builds it: its samples, (-1)^s exp(i beta s^2)
+    times the raw ones, match the first kernel to relative L2 <= 1e-12
+    for chirp rates up to the Nyquist limit (measured: at most 3.4e-13,
+    the rounding of the chirp's phase, which grows as beta s^2)."""
+    x = propagator_grid(n_samples)
+    dx = x[1] - x[0]
+    sol = make_solution(1e-2)
+    packet = GaussianWavepacket(width=0.7 * SPOT0, center=0.6 * SPOT0,
+                                momentum=-3e-3)
+    for frame in (0.9 * math.pi / n_samples, -0.4 * math.pi / n_samples):
+        for n in (0.5, 7.0):
+            u1, u2, du2 = (float(f(n)) for f in (sol.u1, sol.u2, sol.du2))
+            field = kanai._propagate(
+                packet, PARAMS, (n_samples, x[0], dx, x[n_samples // 2]), n,
+                u1, u2, du2,
+                float(np.exp(-sol.params.friction.evaluate(n)[0])), frame)
+            assert field._rate == frame
+            ref = reference_kanai_propagate(packet, sol, PARAMS, x, n)
+            err = np.linalg.norm(field.samples - ref) / np.linalg.norm(ref)
+            assert err <= 1e-12, (frame, n)
 
 
 # ---------------------------------------------------------------------------
