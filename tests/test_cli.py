@@ -20,6 +20,8 @@ from scipy import ndimage
 
 import kanai_cavity
 from kanai_cavity import cli
+from kanai_cavity._formats import csv_text
+from kanai_cavity.paraxial import stability_map
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 THETA = math.acos(-0.3)
@@ -65,6 +67,18 @@ def test_stability_raster_has_two_stable_domains(tmp_path):
     path = read_csv(out / "schedule_path.csv")
     assert path["l1_over_f"][0] == pytest.approx(1.7, abs=1e-12)
     assert path["l2_over_f"][0] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_stability_raster_matches_its_columns(tmp_path):
+    # Over two chunks, on unequal ranges so that l1 and l2 cannot swap.
+    cfg = write_config(tmp_path, stability={
+        "resolution": 101, "l1_range": [0.5, 3.5], "l2_range": [0.0, 4.0]})
+    out = tmp_path / "out"
+    assert cli.main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    raster = stability_map((0.5, 3.5), (0.0, 4.0), 101)
+    expected = csv_text(["l1_over_f", "l2_over_f", "stable", "theta"],
+                        raster.columns())
+    assert (out / "stability_raster.csv").read_bytes() == expected.encode()
 
 
 def test_stability_degenerate_grid_single_cell(tmp_path):

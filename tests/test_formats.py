@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kanai_cavity import _formats
-from kanai_cavity._formats import CSV_CHUNK_ROWS, csv_text, json_text
+from kanai_cavity._formats import (CSV_CHUNK_ROWS, atomic_write_bytes,
+                                   csv_text, json_text)
 from kanai_cavity.errors import NumericalError
 from kanai_cavity.paraxial import stability_map
 
@@ -141,7 +142,11 @@ def test_fallback_formats_only_zeros_nan_and_exact_ties(monkeypatch):
     # decade is corrected, not handed to the fallback.
     near = np.concatenate([np.nextafter(tens, 0.0), np.nextafter(tens, 1e300)])
     near_ties = sum(scaled_fraction(x) == Fraction(1, 2) for x in near)
-    for column, expected in ((np.arange(3001.0), 1),
+    # One call per distinct bit pattern, also in short columns, which are
+    # not deduplicated before the kernel.
+    repeats = np.tile([np.nan, 0.0, -0.0, 1.5], 50)
+    for column, expected in ((np.arange(3001.0), 1), (np.zeros(3001), 1),
+                             (repeats, 3),
                              (np.linspace(0.0, 4.0, 400), 1), (theta, 2),
                              (near, near_ties),
                              (exact_ties(), exact_ties().size)):
@@ -213,6 +218,65 @@ def test_row_count_one_past_chunk_size():
     text = csv_text(["n", "x", "flag"], columns)
     assert text.count("\n") == n + 1
     assert text == reference_csv_text(["n", "x", "flag"], zip(*columns))
+
+
+#: Row counts on both sides of the chunk size, and over two chunks.
+CHUNK_EDGES = (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+               2 * CSV_CHUNK_ROWS + 3)
+#: Signed zeros, infinities, NaNs with sign and payload, the extremes.
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan,
+                  float_from_bits(0xFFF8000000000000),
+                  float_from_bits(0x7FF8000000000001),
+                  float_from_bits(0x7FF0000000000001), 5e-324,
+                  -1.7976931348623157e308, 0.5, 1e20)
+FLOAT64_VALUES = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.tuples(*FLOAT64_PARTS).map(lambda p: float_from_bits(
+        p[0] << 63 | p[1] << 52 | p[2])))
+FLOAT32_VALUES = st.tuples(*FLOAT32_PARTS).map(lambda p: np.array(
+    [p[0] << 31 | p[1] << 23 | p[2]], dtype=np.uint32).view(np.float32)[0])
+#: A column's values before they are indexed into rows: few, so that the
+#: rows repeat them, or (for "distinct") one per row.
+COLUMN_POOLS = {
+    "float64": st.lists(FLOAT64_VALUES, min_size=1, max_size=12).map(
+        lambda v: np.array(v, dtype=np.float64)),
+    "float32": st.lists(FLOAT32_VALUES, min_size=1, max_size=12).map(
+        lambda v: np.array(v, dtype=np.float32)),
+    "bool": st.sampled_from([[False], [True], [False, True], [True, False]]
+                            ).map(np.array),
+    "int": st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                    max_size=12).map(lambda v: np.array(v, dtype=np.int64)),
+    "distinct": st.just(None),
+}
+
+
+@st.composite
+def chunk_edge_columns(draw):
+    """Columns of one of ``CHUNK_EDGES`` rows, each an array or a
+    ``(values, index)`` pair, and the same columns as arrays."""
+    n = draw(st.sampled_from(CHUNK_EDGES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, arrays = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(COLUMN_POOLS)))
+        values = draw(COLUMN_POOLS[kind])
+        if values is None:
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+            index = rng.permutation(n)
+        else:
+            index = rng.integers(0, values.size, n)
+        columns.append(values[index])
+        arrays.append(values[index])
+    return columns, arrays
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(chunk_edge_columns())
+def test_columns_at_chunk_edges_match_the_per_cell_formatter(drawn):
+    columns, arrays = drawn
+    header = ["c%d" % j for j in range(len(columns))]
+    rows = zip(*[array.tolist() for array in arrays])
+    assert csv_text(header, columns) == reference_csv_text(header, rows)
 
 
 def test_unequal_columns_raise():
@@ -337,3 +401,12 @@ def test_json_text_matches_the_recursive_writer(doc):
     that formatted float by float."""
     expected = outcome(lambda d: reference_dump_json(d) + "\n", doc)
     assert outcome(json_text, doc) == expected
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out" / "data.csv"
+    with pytest.raises(TypeError):
+        atomic_write_bytes(str(target), object())
+    assert list(target.parent.iterdir()) == []
+    atomic_write_bytes(str(target), b"a\n")
+    assert [p.name for p in target.parent.iterdir()] == ["data.csv"]
