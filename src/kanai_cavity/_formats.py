@@ -4,13 +4,13 @@ All floating-point values are rendered with 17 significant digits in
 lowercase scientific notation so that identical runs produce byte-identical
 files on every platform; numpy writes the CSV cells (:func:`_float_cells`).
 Files are written atomically (temp file in the target directory, then
-rename) so a failed run never leaves a partial data file behind.
+rename) so a failed run never leaves a partial data file behind; they get
+the mode the umask allows, as files that ``open`` creates do.
 """
 
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -63,13 +63,15 @@ def _scaled(mag, e):
     """floor(mag * 10**(16 - e)) as int64 and the fraction above it, from
     a double-double product (Dekker, Numer. Math. 18, 224 (1971)): ``mag *
     hi``, its exact rounding error and ``mag * lo``.  Its relative error is
-    near 2**-104, under 1e-14 of a unit in the 17th digit."""
-    table = np.zeros((2, 2 * _E_MAX + 1))
+    near 2**-104, under 1e-14 of a unit in the 17th digit.  The table holds
+    each decade's hi, lo and the halves of hi."""
+    table = np.zeros((4, 2 * _E_MAX + 1))
     for i in np.flatnonzero(np.bincount(e + _E_MAX)):
-        table[:, i] = _power_of_ten(16 + _E_MAX - int(i))
-    hi, lo = table[:, e + _E_MAX]
+        hi, lo = _power_of_ten(16 + _E_MAX - int(i))
+        table[:, i] = (hi, lo) + _split(hi)
+    hi, lo, b1, b2 = table[:, e + _E_MAX]
     head = mag * hi
-    (a1, a2), (b1, b2) = _split(mag), _split(hi)
+    a1, a2 = _split(mag)
     tail = (((a1 * b1 - head) + a1 * b2 + a2 * b1) + a2 * b2) + mag * lo
     whole = np.floor(tail)
     return head.astype(np.int64) + whole.astype(np.int64), tail - whole
@@ -80,7 +82,8 @@ def _float_cells(values):
     double-double product rounded half up, or :func:`format_float` for zero,
     NaN, inf, magnitudes outside ``_FORMATTED``, fractions within 1e-6 of
     one half (exact ties, which dtoa rounds half-to-even) and the rare
-    decade the product cannot settle (1e20 scales to exactly 1e16)."""
+    decade the product cannot settle (1e20 scales to exactly 1e16), once
+    per distinct bit pattern."""
     mag = np.abs(values)
     inside = (mag >= _FORMATTED[0]) & (mag < _FORMATTED[1])
     mag[~inside] = 1.0
@@ -102,7 +105,10 @@ def _float_cells(values):
     words[:, 4] = _TRIPLES[digits % 1000]
     words[:, 5] = _EXPONENTS[e + 999]
     cells = words.view("S24")[:, 0]
-    cells[fallback] = [format_float(v) for v in values[fallback]]
+    keys = values[fallback].view(np.int64).tolist()
+    texts = {key: format_float(np.int64(key).view(np.float64))
+             for key in set(keys)}
+    cells[fallback] = [texts[key] for key in keys]
     return cells
 
 
@@ -110,56 +116,77 @@ def _float_cells(values):
 _BOOL_CELLS = np.array([b"0", b"1"])
 
 
-def _distinct(column):
-    """A column's distinct values and each row's index into them: floats
-    as float64, matched by bit pattern so that 0.0 and -0.0 (and NaN
-    payloads) stay apart; bools and integers as their decimal text."""
-    if column.dtype.kind == "f":
+def _distinct(values, index):
+    """A column as values and each row's index into them, or index None
+    where the rows are the values as they stand: a given index is kept, a
+    bool column indexes its cells by its bytes, and a float or integer
+    column longer than ``CSV_CHUNK_ROWS`` is sorted to its distinct values,
+    floats by bit pattern so that 0.0 and -0.0 (and NaN payloads) stay
+    apart."""
+    if index is None and values.dtype.kind == "b":
+        return _BOOL_CELLS, values.view(np.uint8)
+    if values.dtype.kind == "f":
         with np.errstate(invalid="ignore"):
-            wide = np.ascontiguousarray(column, dtype=np.float64)
-        distinct, index = np.unique(wide.view(np.int64), return_inverse=True)
+            values = np.ascontiguousarray(values, dtype=np.float64)
+    if index is not None or values.size <= CSV_CHUNK_ROWS:
+        return values, index
+    if values.dtype.kind == "f":
+        distinct, index = np.unique(values.view(np.int64), return_inverse=True)
         return distinct.view(np.float64), index
-    if column.dtype.kind == "b":
-        return _BOOL_CELLS, column.view(np.uint8)
-    distinct, index = np.unique(column, return_inverse=True)
-    cells = "%d\n" * distinct.size % tuple(distinct.tolist())
-    return np.array(cells.split("\n")[:-1], dtype=bytes), index
+    return np.unique(values, return_inverse=True)
+
+
+def _cells(values):
+    """The cells of bool or integer values as an ``S`` array."""
+    if values.dtype.kind == "S":
+        return values
+    if values.dtype.kind == "b":
+        return _BOOL_CELLS[values.view(np.uint8)]
+    cells = "%d\n" * values.size % tuple(values.tolist())
+    return np.array(cells.split("\n")[:-1], dtype=bytes)
 
 
 def csv_text(header, columns):
     """Build the full text of a CSV file from a header and 1-D columns.
 
-    Float cells carry the bytes of :func:`format_float`; bool and integer
-    cells are decimal ints.  Each chunk of rows is one uint8 matrix: the
-    cells of the distinct values gathered by index and the separators, less
-    the NUL padding.
+    A column is an array or a ``(values, index)`` pair whose rows are
+    ``values[index]``.  Float cells carry the bytes of :func:`format_float`;
+    bool and integer cells are decimal ints.  Each chunk of rows is one
+    uint8 matrix: the cells of the values, sliced or gathered by index, and
+    the separators, less the NUL padding.
     """
-    columns = [np.asarray(col) for col in columns]
-    if (len(columns) != len(header) or any(col.ndim != 1 for col in columns)
-            or len({col.size for col in columns}) > 1):
+    columns = [tuple(np.asarray(part) for part in col)
+               if isinstance(col, tuple) else (np.asarray(col), None)
+               for col in columns]
+    rows = [values if index is None else index for values, index in columns]
+    if (len(columns) != len(header)
+            or any(part is not None and part.ndim != 1
+                   for col in columns for part in col)
+            or len({col.size for col in rows}) > 1):
         raise ValueError("CSV needs one 1-D column per header name, "
                          "all of equal length")
-    found = [_distinct(col) for col in columns]
+    found = [_distinct(values, index) for values, index in columns]
     # One kernel call for all the floats: it costs ~70 us even for one value.
     floats = [values for values, _ in found if values.dtype == np.float64]
     float_cells = iter(np.split(
         _float_cells(np.concatenate([np.zeros(0)] + floats)),
         np.cumsum([values.size for values in floats])))
-    formatted = [(next(float_cells) if values.dtype == np.float64 else values,
-                  index) for values, index in found]
+    formatted = [(next(float_cells) if values.dtype == np.float64
+                  else _cells(values), index) for values, index in found]
     width = sum(cells.itemsize + 1 for cells, _ in formatted)
-    size = columns[0].size if columns else 0
+    size = rows[0].size if rows else 0
     parts = [",".join(header) + "\n"]
     for lo in range(0, size, CSV_CHUNK_ROWS):
-        rows = np.full((min(CSV_CHUNK_ROWS, size - lo), width), ord(","),
-                       dtype=np.uint8)
+        hi = min(lo + CSV_CHUNK_ROWS, size)
+        chunk = np.full((hi - lo, width), ord(","), dtype=np.uint8)
         at = 0
         for cells, index in formatted:
-            taken = cells.take(index[lo:lo + CSV_CHUNK_ROWS]).view(np.uint8)
-            rows[:, at:at + cells.itemsize] = taken.reshape(len(rows), -1)
+            taken = cells[lo:hi] if index is None else cells.take(index[lo:hi])
+            chunk[:, at:at + cells.itemsize] = taken.view(np.uint8).reshape(
+                hi - lo, -1)
             at += cells.itemsize + 1
-        rows[:, -1] = ord("\n")
-        parts.append(rows[rows != 0].tobytes().decode("ascii"))
+        chunk[:, -1] = ord("\n")
+        parts.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 
@@ -237,10 +264,13 @@ def atomic_write_text(path, text):
 
 
 def atomic_write_bytes(path, data):
-    """Write ``data`` to ``path`` via a same-directory temp file + rename."""
+    """Write ``data`` to ``path`` via a same-directory temp file + rename.
+    The temp file is created with mode 0o666, so the umask sets the mode."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, "tmp%s.tmp" % os.urandom(8).hex())
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -221,9 +221,11 @@ def _setup(cfg, sampled=False):
 
 
 def _data_csv(filename, header, columns, nan_column=None):
-    """CSV text whose values must be finite, except NaN in ``nan_column``."""
+    """CSV text whose values must be finite, except NaN in ``nan_column``;
+    a column may be a ``(values, index)`` pair, as :func:`csv_text` takes."""
     for name, column in zip(header, columns):
-        if name != nan_column and not np.all(np.isfinite(column)):
+        values = column[0] if isinstance(column, tuple) else column
+        if name != nan_column and not np.all(np.isfinite(values)):
             raise NumericalError("%s: column %s is not finite"
                                  % (filename, name))
     return csv_text(header, columns)
@@ -248,10 +250,16 @@ def cmd_stability(cfg):
     raster = stability_map((l1_lo, l1_hi), (l2_lo, l2_hi), resolution)
     n_values = _sample_times(run["n_max"], run["dn"])
     path_l1, path_l2 = sched.positions_at(n_values)
+    # The grids as (values, index) pairs: the rows of raster.columns(),
+    # with no sort to find the grid values again.
+    steps = np.arange(resolution)
+    columns = [(raster.l1_values, np.repeat(steps, resolution)),
+               (raster.l2_values, np.tile(steps, resolution)),
+               raster.stable.ravel(), raster.theta.ravel()]
     return {
         "stability_raster.csv": _data_csv(
             "stability_raster.csv",
-            ["l1_over_f", "l2_over_f", "stable", "theta"], raster.columns(),
+            ["l1_over_f", "l2_over_f", "stable", "theta"], columns,
             nan_column="theta"),
         "schedule_path.csv": _data_csv(
             "schedule_path.csv", ["n", "l1_over_f", "l2_over_f"],

@@ -348,7 +348,11 @@ def oscillator_flow(friction, omega_sq, n_max, halvings=0):
     per_trip = _START_STEPS << halvings
     t = np.arange(math.ceil(n_max * per_trip)) / per_trip
     if friction.nodes is not None:
-        t = np.union1d(t, friction.nodes[friction.nodes < n_max])
+        # The union with the nodes, as np.union1d, whose np.unique would
+        # import numpy.ma; a stable sort keeps the grid's copy of a repeat.
+        nodes = friction.nodes[friction.nodes < n_max]
+        t = np.sort(np.concatenate((t, nodes)), kind="stable")
+        t = np.delete(t, np.flatnonzero(t[1:] == t[:-1]) + 1)
     t = np.append(t, n_max)
     return t, flow_products(
         _oscillator_steps(friction, omega_sq, t[:-1], t[1:]), block=per_trip)

@@ -679,6 +679,33 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert project["dependencies"] == ["numpy>=1.24"]
 
 
+def test_tabulated_runs_import_no_numpy_ma(tmp_path):
+    # The step grid's union with the table nodes must not reach np.unique's
+    # masked-array check, which imports numpy.ma in every such process.
+    from test_golden import TABULATED_SCENARIO, _write_table
+
+    _write_table(tmp_path)
+    runs = {"collapse": dict(TABULATED_SCENARIO["run"], dn=1),
+            "crosscheck": {"n_max": 20, "grid_n": 512}}
+    configs = []
+    for command, run in runs.items():
+        config = tmp_path / (command + ".json")
+        config.write_text(json.dumps(dict(TABULATED_SCENARIO, run=run)))
+        configs += [command, str(config)]
+    child = ("import json, sys\n"
+             "from kanai_cavity import cli\n"
+             "args = sys.argv[2:]\n"
+             "codes = [cli.main([command, '--config', config, '--out', "
+             "sys.argv[1] + '/' + command])\n"
+             "         for command, config in zip(args[::2], args[1::2])]\n"
+             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path / "out")] + configs,
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], False]
+
+
 def test_stability_run_imports_no_fractions_or_decimal(tmp_path):
     # Exact rational arithmetic would cost every CLI process its import;
     # the 17-digit writer needs neither module.

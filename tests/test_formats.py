@@ -8,6 +8,8 @@ the recursive writer it replaced.
 
 import json
 import math
+import os
+import stat
 import tracemalloc
 from fractions import Fraction
 
@@ -265,7 +267,8 @@ def chunk_edge_columns(draw):
             index = rng.permutation(n)
         else:
             index = rng.integers(0, values.size, n)
-        columns.append(values[index])
+        columns.append((values, index) if draw(st.booleans())
+                       else values[index])
         arrays.append(values[index])
     return columns, arrays
 
@@ -279,6 +282,26 @@ def test_columns_at_chunk_edges_match_the_per_cell_formatter(drawn):
     assert csv_text(header, columns) == reference_csv_text(header, rows)
 
 
+def test_short_and_pair_columns_are_not_sorted(monkeypatch):
+    sorted_sizes = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda values, **kwargs: (
+        sorted_sizes.append(values.size) or unique(values, **kwargs)))
+    n = CSV_CHUNK_ROWS
+    csv_text(["n", "x", "y", "flag"], [
+        np.arange(n), np.zeros(n), np.linspace(-1.0, 1.0, n, dtype=np.float32),
+        np.arange(n) % 3 == 0])
+    grid, steps = np.linspace(0.0, 4.0, 400), np.arange(400)
+    csv_text(["l1", "l2", "n", "flag"], [
+        (grid, np.repeat(steps, 400)), (grid, np.tile(steps, 400)),
+        (np.arange(5), np.arange(160000) % 5),
+        (np.array([False, True]), np.arange(160000) % 2)])
+    assert sorted_sizes == []
+    # A long column given as an array is still sorted to its values.
+    csv_text(["l2"], [np.tile(grid, 400)])
+    assert sorted_sizes == [160000]
+
+
 def test_unequal_columns_raise():
     with pytest.raises(ValueError):
         csv_text(["a", "b"], [np.zeros(3), np.zeros(2)])
@@ -286,6 +309,11 @@ def test_unequal_columns_raise():
         csv_text(["a", "b"], [np.zeros(3)])
     with pytest.raises(ValueError):
         csv_text(["a"], [np.zeros((2, 2))])
+    with pytest.raises(ValueError):
+        csv_text(["a", "b"], [(np.zeros(2), np.zeros(3, dtype=int)),
+                              np.zeros(2)])
+    with pytest.raises(ValueError):
+        csv_text(["a"], [(np.zeros((2, 2)), np.zeros(2, dtype=int))])
 
 
 def test_raster_peak_memory_below_reference():
@@ -410,3 +438,12 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     assert list(target.parent.iterdir()) == []
     atomic_write_bytes(str(target), b"a\n")
     assert [p.name for p in target.parent.iterdir()] == ["data.csv"]
+
+
+def test_written_files_honour_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        atomic_write_bytes(str(tmp_path / "data.csv"), b"a\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "data.csv").stat().st_mode) == 0o644
