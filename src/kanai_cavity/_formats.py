@@ -137,13 +137,24 @@ def _distinct(values, index):
 
 
 def _cells(values):
-    """The cells of bool or integer values as an ``S`` array."""
+    """The ``%d`` text of bool or integer values as NUL-padded ``S``
+    cells: a word for the sign, then four digits a word, with leading
+    zeros written as 0 bytes, which the CSV rows drop like the padding."""
     if values.dtype.kind == "S":
         return values
     if values.dtype.kind == "b":
         return _BOOL_CELLS[values.view(np.uint8)]
-    cells = "%d\n" * values.size % tuple(values.tolist())
-    return np.array(cells.split("\n")[:-1], dtype=bytes)
+    negative = values < 0
+    mag = values.astype(np.uint64)
+    mag[negative] = -mag[negative]
+    groups = -(-len(str(int(mag.max(initial=0)))) // 4)
+    words = np.zeros((values.size, 1 + groups), dtype="<u4")
+    words[:, 0] = negative * ord("-")
+    words[:, 1:] = _QUADS[mag[:, None] // np.uint64(10) ** np.arange(
+        4 * groups - 4, -1, -4, dtype=np.uint64) % 10000]
+    digits = words.view(np.uint8)[:, 4:-1]
+    digits[np.logical_and.accumulate(digits == ord("0"), axis=1)] = 0
+    return words.view("S%d" % (4 + 4 * groups))[:, 0]
 
 
 def csv_text(header, columns):

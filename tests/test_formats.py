@@ -200,6 +200,14 @@ def test_bool_and_integer_columns():
     assert_same_text(columns)
 
 
+def test_integer_columns_at_digit_group_edges():
+    edges = [sign * (10**k + step) for k in range(19) for step in (-1, 0, 1)
+             for sign in (1, -1)]
+    column = np.array(edges + [-2**63, 2**63 - 1])
+    assert_same_text([column, column.astype(np.uint64) >> 1,
+                      (column % 256).astype(np.int8)])
+
+
 def test_bool_columns_of_one_value_and_strided():
     flags = np.random.default_rng(12).random(301) < 0.5
     for column in (np.ones(40, dtype=bool), np.zeros(40, dtype=bool),
