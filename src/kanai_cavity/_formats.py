@@ -22,7 +22,8 @@ def format_float(x):
     return "{:.16e}".format(float(x))
 
 
-#: Rows assembled per chunk, which bounds the byte matrix alive at once.
+#: Rows assembled per chunk, which bounds the byte matrix alive at once;
+#: a column no longer than this is formatted as it stands, without a sort.
 CSV_CHUNK_ROWS = 8192
 
 #: ASCII digits as numbers whose little-endian bytes are the text, so that

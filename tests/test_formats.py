@@ -1,7 +1,8 @@
 """Tests for the column-wise CSV writer in ``kanai_cavity._formats``.
 
-``csv_text`` formats each distinct value of a column once; the oracle here is
-the per-cell formatter it replaced, and the two must agree byte for byte.
+``csv_text`` formats a short column as it stands and each distinct value of a
+long one once; the oracle here is the per-cell formatter it replaced, and the
+two must agree byte for byte, for array and ``(values, index)`` columns.
 ``json_text`` formats a document's floats in one kernel call; its oracle is
 the recursive writer it replaced.
 """
