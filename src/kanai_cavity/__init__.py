@@ -29,16 +29,15 @@ from .kanai import (GaussianWavepacket, QuantumParams, crosscheck_engines,
 from .paraxial import (AbcdMatrix, ResonatorGeometry, StabilityInfo,
                        StabilityMap, half_trip_matrix, round_trip_elements,
                        round_trip_matrix, stability, stability_map)
-from .raysim import (RayState, RayTrace, characteristic_roots,
-                     courant_snyder_invariant, fit_damped_oscillation,
-                     fit_envelope_rate, iterate_ray, iterate_ray_difference,
+from .raysim import (RayState, RayTrace, courant_snyder_invariant,
+                     fit_damped_oscillation, fit_envelope_rate, iterate_ray,
                      lissajous, pattern_radius)
 from .schedule import MirrorSchedule
 from .wavesim import (CollapseTrace, ComplexField, GaussianBeam,
                       GaussianQTrace, beam_round_trip, eigenmode_beam,
-                      fresnel_round_trip, gaussian_q_trace, overlap,
-                      phase_aligned_l2, run_collapse, sample_beam,
-                      split_step_round_trip, spot_size)
+                      fresnel_round_trip, gaussian_q_trace, phase_aligned_l2,
+                      run_collapse, sample_beam, split_step_round_trip,
+                      spot_size)
 
 __version__ = "0.1.0"
 
@@ -52,12 +51,11 @@ __all__ = [
     "QuantumParams", "RayState", "RayTrace", "ResolutionError",
     "ResonatorGeometry", "SamplingError", "StabilityInfo", "StabilityMap",
     "UnsupportedRegimeError", "ValidationError", "beam_round_trip",
-    "characteristic_roots", "courant_snyder_invariant", "crosscheck_engines",
-    "eigenmode_beam", "fit_damped_oscillation", "fit_envelope_rate",
-    "free_gaussian", "fresnel_round_trip", "fundamental_solutions",
-    "gaussian_q_trace", "half_trip_matrix", "iterate_ray",
-    "iterate_ray_difference", "kanai_propagate", "lissajous", "map_parameters",
-    "moments", "overlap", "pattern_radius", "phase_aligned_l2",
+    "courant_snyder_invariant", "crosscheck_engines", "eigenmode_beam",
+    "fit_damped_oscillation", "fit_envelope_rate", "free_gaussian",
+    "fresnel_round_trip", "fundamental_solutions", "gaussian_q_trace",
+    "half_trip_matrix", "iterate_ray", "kanai_propagate", "lissajous",
+    "map_parameters", "moments", "pattern_radius", "phase_aligned_l2",
     "round_trip_elements", "round_trip_matrix", "run_collapse", "sample_beam",
     "split_step_round_trip", "spot_size", "stability", "stability_map",
 ]

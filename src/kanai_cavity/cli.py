@@ -375,16 +375,15 @@ def cmd_collapse(cfg):
 def cmd_crosscheck(cfg):
     """Analytic propagator vs diffraction engine report."""
     sched, wavelength, run = _setup(cfg)
-    geom = sched.geom0
     cc = _section(cfg, "crosscheck")
     center_over_w1 = _number(cc, "crosscheck", "center_over_w1", default=1.0)
     tilt = _number(cc, "crosscheck", "tilt", default=0.0)
     width_scale = _number(cc, "crosscheck", "width_scale", default=1.0)
     if width_scale <= 0.0:
         _fail("crosscheck.width_scale must be > 0")
-    w1_0 = eigenmode_beam(round_trip_matrix(geom)).spot_size(wavelength)
+    w1_0 = eigenmode_beam(round_trip_matrix(sched.geom0)).spot_size(wavelength)
     records = crosscheck_engines(
-        geom, wavelength, sched, run["n_max"],
+        sched, wavelength, run["n_max"],
         center=center_over_w1 * w1_0, tilt=tilt, width_scale=width_scale,
         grid_n=run["grid_n"], window_factor=run["window_factor"])
     report = {

@@ -465,18 +465,11 @@ def fundamental_solutions(params, method="auto", n_max=None):
     NumericalError
         If the ODE branch has not converged at 512 steps per trip.
     """
-    closed_ok = params.friction.kind == "constant" and \
-        params.friction.gamma < 2.0 * params.omega
     if method == "auto":
-        method = "closed_form" if closed_ok else "ode"
+        closed = (params.friction.kind == "constant"
+                  and params.friction.gamma < 2.0 * params.omega)
+        method = "closed_form" if closed else "ode"
     if method == "closed_form":
-        if params.friction.kind != "constant":
-            raise ValidationError(
-                "closed-form solutions require constant friction")
-        if not closed_ok:
-            raise UnsupportedRegimeError(
-                "gamma = %g >= 2*omega = %g has no underdamped closed form; "
-                "use method='ode'" % (params.friction.gamma, 2.0 * params.omega))
         return ClassicalSolution(params, "closed_form")
     if method != "ode":
         raise ValidationError("unknown method %r" % (method,))

@@ -183,7 +183,7 @@ def _propagate(packet, params, grid, n, u1, u2, du2, w_ronskian,
         raise NumericalError(
             "analytic propagator samples are not finite at n = %g" % n)
     return ComplexField(samples, dx, x0, 2.0 * math.pi * hbar,
-                        "left_mirror", None if frame is None else (frame, 1.0))
+                        None if frame is None else (frame, 1.0))
 
 
 def moments(packet, sol, params, n):
@@ -240,12 +240,12 @@ def quantum_equation_coefficients(params, g):
     return kin, pot
 
 
-def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
+def crosscheck_engines(sched, wavelength, n_max, center=0.0, tilt=0.0,
                        width_scale=1.0, grid_n=DEFAULT_GRID_N,
                        window_factor=DEFAULT_WINDOW_FACTOR):
     """Propagate one Gaussian through the analytic and diffraction engines.
 
-    The initial state is the cavity eigenmode (optionally width-scaled,
+    The initial state is the ``sched.geom0`` eigenmode (optionally width-scaled,
     displaced by ``center`` and tilted by ``tilt``); the mapped wavepacket
     starts with the matching width sigma = w/2, the same center, and
     momentum = -tilt.  For each trip the report records the phase-aligned
@@ -259,8 +259,8 @@ def crosscheck_engines(geom0, wavelength, sched, n_max, center=0.0, tilt=0.0,
     n_max = int(n_max)
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    params = map_parameters(geom0, wavelength)
-    m0 = round_trip_matrix(geom0)
+    params = map_parameters(sched.geom0, wavelength)
+    m0 = round_trip_matrix(sched.geom0)
     q0 = 1j * width_scale * width_scale * math.sqrt(-m0.b / m0.c)
     beam = GaussianBeam(q0, center=center, tilt=tilt)
     packet = GaussianWavepacket(beam.spot_size(wavelength) / 2.0,

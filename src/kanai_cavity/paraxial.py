@@ -36,21 +36,10 @@ class AbcdMatrix:
         self.c = float(c)
         self.d = float(d)
 
-    @property
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def compose(self, other):
+    def __matmul__(self, other):
         """Matrix product self @ other (other acts first on the ray)."""
         return AbcdMatrix(*_times((self.a, self.b, self.c, self.d),
                                   (other.a, other.b, other.c, other.d)))
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def is_canonical(self, tol=CANONICAL_TOL):
-        """True when a = d within ``tol`` (flat-end-mirror round trip)."""
-        return abs(self.a - self.d) <= tol
 
     def __repr__(self):
         return "AbcdMatrix(a=%r, b=%r, c=%r, d=%r)" % (self.a, self.b, self.c, self.d)
@@ -172,12 +161,13 @@ class StabilityInfo:
             self.stable, self.marginal, self.theta, self.a)
 
 
-def stability(m, tol=CANONICAL_TOL):
+def stability(m):
     """Classify a canonical (a = d) ray matrix.
 
-    Raises :class:`ContractViolationError` when the matrix is not canonical.
+    Raises :class:`ContractViolationError` when |a - d| exceeds
+    ``CANONICAL_TOL``.
     """
-    if not m.is_canonical(tol):
+    if not abs(m.a - m.d) <= CANONICAL_TOL:
         raise ContractViolationError(
             "stability classification needs a canonical matrix (a = d); "
             "got a=%r, d=%r" % (m.a, m.d))

@@ -83,46 +83,6 @@ def iterate_ray(sched, init, n_max):
                     sched=sched)
 
 
-def iterate_ray_difference(theta, gamma, x0, x1, n_max):
-    """Constant-friction second-order recurrence for the displacement.
-
-    Iterates x_{n+1} = cos(theta) (1 + e^{-gamma}) x_n - e^{-gamma} x_{n-1}
-    from the seeds (x0, x1); returns the array x_0..x_{n_max}.  Seeded with
-    the first two samples of a matrix-iterated trace it reproduces that
-    trace to rounding error.
-    """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    decay = math.exp(-float(gamma))
-    coeff = math.cos(float(theta)) * (1.0 + decay)
-    x = np.empty(n_max + 1)
-    x[0], x[1] = float(x0), float(x1)
-    prev, cur = x[0], x[1]
-    for k in range(1, n_max):
-        prev, cur = cur, coeff * cur - decay * prev
-        x[k + 1] = cur
-    return x
-
-
-def characteristic_roots(theta, gamma):
-    """Roots of mu^2 - cos(theta)(1 + e^{-gamma}) mu + e^{-gamma} = 0.
-
-    For an underdamped cavity they form a complex-conjugate pair whose
-    common modulus is exp(-gamma/2) (the product of the roots equals
-    e^{-gamma}); the first root returned has nonnegative imaginary part.
-    """
-    decay = math.exp(-float(gamma))
-    s = math.cos(float(theta)) * (1.0 + decay)
-    disc = complex(s * s - 4.0 * decay)
-    root = np.sqrt(disc)
-    mu1 = (s + root) / 2.0
-    mu2 = (s - root) / 2.0
-    if mu1.imag < mu2.imag:
-        mu1, mu2 = mu2, mu1
-    return complex(mu1), complex(mu2)
-
-
 def lissajous(sched, init2d, n_max):
     """Iterate two decoupled transverse axes through the same cavity.
 

@@ -25,9 +25,6 @@ from .paraxial import (ResonatorGeometry, half_trip_matrix,
                        right_mirror_elements, round_trip_elements,
                        round_trip_matrix, stability)
 
-#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
-SPEED_OF_LIGHT = 299792458.0
-
 
 class MirrorSchedule:
     """Time-dependent cavity: initial geometry plus a friction profile.
@@ -63,10 +60,6 @@ class MirrorSchedule:
         self.c0 = c / f
         self.right_b0 = b2 * f
         self.right_c0 = c2 / f
-
-    @property
-    def f(self):
-        return self.geom0.f
 
     def positions_at(self, n):
         """Closed-form mirror positions (l1(n), l2(n)); vectorized over n."""
@@ -119,21 +112,3 @@ class MirrorSchedule:
         lens = -1.0 / self.geom0.f
         a = 1.0 + l2 * lens
         return a, a * l1 + l2, np.full(np.shape(a), lens), lens * l1 + 1.0
-
-
-def mirror_speed_estimate(sched, f_meters, n):
-    """Physical right-mirror speed |dl2/dt| in meters per second.
-
-    Uses the round-trip time T_R = (l1 + l2)/c_light as the unit of time per
-    trip, so v = gdot * (l2 - f) / T_R; as l2 grows the speed approaches
-    gdot * c_light.
-    """
-    f_meters = float(f_meters)
-    if f_meters <= 0.0:
-        raise ValidationError("physical focal length must be > 0")
-    l1, l2 = sched.positions_at(float(n))
-    scale = f_meters / sched.f
-    l1_m, l2_m, f_m = l1 * scale, l2 * scale, f_meters
-    _, gdot = sched.friction.evaluate(float(n))
-    round_trip_time = (l1_m + l2_m) / SPEED_OF_LIGHT
-    return abs(gdot) * (l2_m - f_m) / round_trip_time

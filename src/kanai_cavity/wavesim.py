@@ -40,13 +40,6 @@ DEFAULT_GRID_N = 4096
 #: Default grid window in units of the initial spot size.
 DEFAULT_WINDOW_FACTOR = 16.0
 
-_PLANE_TAGS = ("left_mirror", "right_mirror")
-
-
-def centered_grid(n, dx):
-    """Grid of n points spaced dx, centered so that index n//2 sits at 0."""
-    return (np.arange(n) - n // 2) * dx
-
 
 def _is_power_of_two(n):
     return n >= 2 and (n & (n - 1)) == 0
@@ -138,8 +131,7 @@ class ComplexField:
     """1-d complex field samples on a uniform transverse grid.
 
     ``x0`` is the coordinate of sample 0 (grids used by the engines are
-    centered: x0 = -(N//2) dx).  ``plane_tag`` records which mirror plane
-    the samples live on.
+    centered: x0 = -(N//2) dx).
 
     A field is immutable: the caller must not write to the array passed in
     afterwards.  With ``pending_chirp = (beta, scale)`` the samples are
@@ -149,12 +141,11 @@ class ComplexField:
     statistics are each computed at most once per field.
     """
 
-    __slots__ = ("dx", "x0", "wavelength", "plane_tag", "_raw", "_rate",
-                 "_scale", "_samples", "_power", "_profile", "_grid",
-                 "_moments", "_chirp_stats")
+    __slots__ = ("dx", "x0", "wavelength", "_raw", "_rate", "_scale",
+                 "_samples", "_power", "_profile", "_grid", "_moments",
+                 "_chirp_stats")
 
-    def __init__(self, samples, dx, x0, wavelength, plane_tag="left_mirror",
-                 pending_chirp=None):
+    def __init__(self, samples, dx, x0, wavelength, pending_chirp=None):
         raw = np.asarray(samples, dtype=complex)
         if raw.ndim != 1 or not _is_power_of_two(raw.size):
             raise ValidationError(
@@ -163,8 +154,6 @@ class ComplexField:
         dx, wavelength = float(dx), float(wavelength)
         if dx <= 0.0 or wavelength <= 0.0:
             raise ValidationError("dx and wavelength must be > 0")
-        if plane_tag not in _PLANE_TAGS:
-            raise ValidationError("plane_tag must be one of %r" % (_PLANE_TAGS,))
         rate, scale = pending_chirp or (None, 1.0)
         # the norm is the field's inner product with itself, so that
         # inner_product(f, f) and norm_sq() share one reduction
@@ -181,7 +170,6 @@ class ComplexField:
         self.dx = dx
         self.x0 = float(x0)
         self.wavelength = wavelength
-        self.plane_tag = plane_tag
         self._raw, self._rate, self._scale = raw, rate, scale
         self._samples = raw if rate is None else None
         self._power = power
@@ -232,8 +220,7 @@ class ComplexField:
         return self._intensity_profile()[0]
 
     def with_samples(self, samples):
-        return ComplexField(samples, self.dx, self.x0, self.wavelength,
-                            self.plane_tag)
+        return ComplexField(samples, self.dx, self.x0, self.wavelength)
 
     def is_centered(self):
         return abs(self.x0 + (self.n_samples // 2) * self.dx) <= 1e-9 * self.dx
@@ -243,13 +230,12 @@ class GaussianBeam:
     """Fundamental Gaussian beam: complex parameter q plus displacements.
 
     ``q`` must have positive imaginary part (confined beam); ``center`` and
-    ``tilt`` displace the beam in position and angle, and ``amplitude``
-    scales its norm.
+    ``tilt`` displace the beam in position and angle.  Its norm is 1.
     """
 
-    __slots__ = ("q", "amplitude", "center", "tilt")
+    __slots__ = ("q", "center", "tilt")
 
-    def __init__(self, q, amplitude=1.0, center=0.0, tilt=0.0):
+    def __init__(self, q, center=0.0, tilt=0.0):
         q = complex(q)
         if not (q.imag > 0.0):
             raise ValidationError(
@@ -257,7 +243,6 @@ class GaussianBeam:
         if not cmath.isfinite(q):
             raise NumericalError("beam parameter %r is not finite" % (q,))
         self.q = q
-        self.amplitude = float(amplitude)
         self.center = float(center)
         self.tilt = float(tilt)
 
@@ -266,8 +251,8 @@ class GaussianBeam:
         return math.sqrt(wavelength * abs(self.q) ** 2 / (math.pi * self.q.imag))
 
     def __repr__(self):
-        return "GaussianBeam(q=%r, amplitude=%r, center=%r, tilt=%r)" % (
-            self.q, self.amplitude, self.center, self.tilt)
+        return "GaussianBeam(q=%r, center=%r, tilt=%r)" % (
+            self.q, self.center, self.tilt)
 
 
 def eigenmode_beam(m):
@@ -282,13 +267,13 @@ def eigenmode_beam(m):
 
 
 def sample_beam(beam, wavelength, n_samples=DEFAULT_GRID_N, dx=None,
-                window_factor=DEFAULT_WINDOW_FACTOR, plane_tag="left_mirror"):
+                window_factor=DEFAULT_WINDOW_FACTOR):
     """Sample a Gaussian beam on a centered grid.
 
     When ``dx`` is omitted the grid window is ``window_factor`` times the
-    beam spot size.  The samples are normalized so the field norm equals the
-    beam amplitude.  A beam whose samples carry no finite power (centred
-    outside the window) raises :class:`ValidationError`.
+    beam spot size.  The samples are normalized to a field norm of 1.  A
+    beam whose samples carry no finite power (centred outside the window)
+    raises :class:`ValidationError`.
     """
     n_samples = int(n_samples)
     if not _is_power_of_two(n_samples):
@@ -307,8 +292,8 @@ def sample_beam(beam, wavelength, n_samples=DEFAULT_GRID_N, dx=None,
         raise ValidationError(
             "sampled beam has squared norm %r on the %d-point window; the "
             "beam must lie inside the window" % (norm_sq, n_samples))
-    psi *= beam.amplitude / math.sqrt(norm_sq)
-    return ComplexField(psi, dx, -(n_samples // 2) * dx, wavelength, plane_tag)
+    psi *= 1.0 / math.sqrt(norm_sq)
+    return ComplexField(psi, dx, -(n_samples // 2) * dx, wavelength)
 
 
 def _gaussian(n, x_mid, dx, alpha, beta, c=0j, frame=None):
@@ -364,12 +349,6 @@ def inner_product(f1, f2):
         return (f1._scale.conjugate() * f2._scale
                 * complex(np.vdot(f1._raw, f2._raw)) * f1.dx)
     return complex(np.vdot(f1.samples, f2.samples)) * f1.dx
-
-
-def overlap(f1, f2):
-    """Normalized modulus of the inner product, in [0, 1]."""
-    ip = abs(inner_product(f1, f2))
-    return ip / math.sqrt(f1.norm_sq() * f2.norm_sq())
 
 
 def phase_aligned_l2(f1, f2):
@@ -498,7 +477,7 @@ def _diffract(field, m, check_sampling=True):
     return spectrum, lam * abs(b_el) / (n * dx_in)
 
 
-def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
+def fresnel_round_trip(field, m, check_sampling=True):
     """Apply the generalized diffraction integral of a ray matrix.
 
     Implements
@@ -525,8 +504,7 @@ def fresnel_round_trip(field, m, plane_tag=None, check_sampling=True):
         raise SamplingError("the post-chirp from grid spacing %.3g to %.3g "
                             "is not finite" % (field.dx, dx_out))
     return _carry(field, m, ComplexField(
-        spectrum, dx_out, -(n // 2) * dx_out, lam,
-        plane_tag or field.plane_tag, (beta, scale)))
+        spectrum, dx_out, -(n // 2) * dx_out, lam, (beta, scale)))
 
 
 _MAX_PIECES = 64  # most pieces a split-step trip is cut into
@@ -703,19 +681,18 @@ def _centroid_ray(sched, beam, n_max):
 def run_collapse(sched, initial, n_max, engine="fresnel",
                  wavelength=None, grid_n=DEFAULT_GRID_N,
                  window_factor=DEFAULT_WINDOW_FACTOR):
-    """Propagate an initial beam or field along a schedule and log collapse.
+    """Propagate an initial beam along a schedule and log collapse.
 
     Parameters
     ----------
     sched : MirrorSchedule
-    initial : GaussianBeam or ComplexField
-        The gaussian_q engine requires a GaussianBeam; the grid engines
-        accept either (a beam is sampled on a centered grid spanning
-        ``window_factor`` spot sizes).
+    initial : GaussianBeam
+        The grid engines sample it on a centered grid of ``grid_n`` points
+        spanning ``window_factor`` spot sizes.
     n_max : int
     engine : {"fresnel", "split_step", "gaussian_q"}
     wavelength : float
-        Required when ``initial`` is a beam; a field carries its own.
+        Required.
 
     Returns
     -------
@@ -726,29 +703,20 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
     n_max = int(n_max)
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
+    if not isinstance(initial, GaussianBeam):
+        raise ValidationError("the initial state must be a GaussianBeam")
+    if wavelength is None:
+        raise ValidationError("wavelength is required")
     if engine == "gaussian_q":
-        if not isinstance(initial, GaussianBeam):
-            raise ValidationError(
-                "the gaussian_q engine needs a GaussianBeam initial state")
-        if wavelength is None:
-            raise ValidationError("wavelength is required with a beam input")
         qtrace = gaussian_q_trace(sched, initial.q, n_max, wavelength)
         centroid = _centroid_ray(sched, initial, n_max)
-        norm = np.full(n_max + 1, initial.amplitude ** 2)
-        return CollapseTrace(qtrace.n, qtrace.w1, qtrace.w2, norm, centroid,
-                             engine)
+        return CollapseTrace(qtrace.n, qtrace.w1, qtrace.w2,
+                             np.ones(n_max + 1), centroid, engine)
     if engine not in ("fresnel", "split_step"):
         raise ValidationError("unknown engine %r" % (engine,))
 
-    if isinstance(initial, GaussianBeam):
-        if wavelength is None:
-            raise ValidationError("wavelength is required with a beam input")
-        field = sample_beam(initial, wavelength, grid_n,
-                            window_factor=window_factor)
-    elif isinstance(initial, ComplexField):
-        field = initial
-    else:
-        raise ValidationError("initial must be a GaussianBeam or ComplexField")
+    field = sample_beam(initial, wavelength, grid_n,
+                        window_factor=window_factor)
 
     a_arr, b_arr, c_arr = sched.elements_at(
         np.arange(max(n_max, 1), dtype=float))
@@ -763,7 +731,7 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
             spectrum, dx_out = _diffract(field, AbcdMatrix(*halves[n]))
             w2 = spot_size(ComplexField(
                 spectrum, dx_out, -(field.n_samples // 2) * dx_out,
-                field.wavelength, "right_mirror"))
+                field.wavelength))
         except (SamplingError, ResolutionError) as exc:
             diagnostic = "run truncated at trip %d: %s" % (n, exc)
             break

@@ -20,7 +20,8 @@ import numpy as np
 from kanai_cavity.errors import (NearFocalPlaneError, NearInstabilityError,
                                  ResolutionError, SamplingError)
 from kanai_cavity.paraxial import AbcdMatrix
-from kanai_cavity.wavesim import ComplexField, centered_grid
+from kanai_cavity.wavesim import ComplexField
+from oracles import centered_grid
 
 
 def sample_beam(beam, wavelength, n_samples, dx=None, window_factor=16.0):
@@ -31,7 +32,7 @@ def sample_beam(beam, wavelength, n_samples, dx=None, window_factor=16.0):
     k = 2.0 * math.pi / wavelength
     psi = np.exp(-1j * math.pi * (x - beam.center) ** 2 / (wavelength * beam.q)
                  - 1j * k * beam.tilt * x)
-    psi *= beam.amplitude / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
+    psi *= 1.0 / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
     return ComplexField(psi, dx, x[0], wavelength)
 
 
@@ -126,8 +127,7 @@ def fresnel_round_trip(field, m):
     lam, n = field.wavelength, field.n_samples
     scale = (-1.0) ** (n // 2) * cmath.sqrt(1j / (lam * m.b)) * field.dx
     out = chirp(n, -math.pi * m.d * dx_out ** 2 / (lam * m.b), scale)
-    return ComplexField(out * spectrum, dx_out, -(n // 2) * dx_out, lam,
-                        field.plane_tag)
+    return ComplexField(out * spectrum, dx_out, -(n // 2) * dx_out, lam)
 
 
 def split_step_round_trip(field, m):
@@ -181,7 +181,7 @@ def run_collapse(sched, beam, n_max, engine, wavelength, grid_n,
             spectrum, dx_out = diffract(field, sched.half_matrix_at(float(n)))
             w2 = spot_size(ComplexField(
                 spectrum, dx_out, -(field.n_samples // 2) * dx_out,
-                field.wavelength, "right_mirror"))
+                field.wavelength))
         except (SamplingError, ResolutionError) as exc:
             diagnostic = "run truncated at trip %d: %s" % (n, exc)
             break

@@ -8,10 +8,19 @@
   flows the gaussian_q engine and the ODE branch of
   :func:`kanai_cavity.core.fundamental_solutions` read before both moved to
   one step grid: a fixed 1/8-trip grid composed trip by trip, and a grid of
-  equal steps between table nodes carried one step at a time.
+  equal steps between table nodes carried one step at a time;
+* :func:`iterate_ray_difference` and :func:`characteristic_roots` are the
+  constant-friction scalar recurrence of the ray displacement and its
+  roots, against which the matrix-iterated rays are checked;
+* :func:`mirror_speed_estimate` puts a schedule's right-mirror speed in
+  metres per second;
+* :func:`centered_grid` and :func:`overlap` are the grid and the
+  normalised inner product the wave tests compare fields on.
 
 The first two need scipy, which the package does not import.
 """
+
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -21,6 +30,10 @@ from kanai_cavity.core import (ClassicalSolution, _oscillator_steps,
                                flow_products)
 from kanai_cavity.errors import NumericalError, ValidationError
 from kanai_cavity.schedule import MirrorSchedule
+from kanai_cavity.wavesim import inner_product
+
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+SPEED_OF_LIGHT = 299792458.0
 
 
 class SingularJacobianError(NumericalError):
@@ -128,3 +141,72 @@ def node_grid_solution(params, n_max):
             coarse = phi
     raise NumericalError("the per-node grid did not converge (last change "
                          "%.3g)" % change)
+
+
+def iterate_ray_difference(theta, gamma, x0, x1, n_max):
+    """Constant-friction second-order recurrence for the displacement.
+
+    Iterates x_{n+1} = cos(theta) (1 + e^{-gamma}) x_n - e^{-gamma} x_{n-1}
+    from the seeds (x0, x1); returns the array x_0..x_{n_max}.  Seeded with
+    the first two samples of a matrix-iterated trace it reproduces that
+    trace to rounding error.
+    """
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
+    decay = math.exp(-float(gamma))
+    coeff = math.cos(float(theta)) * (1.0 + decay)
+    x = np.empty(n_max + 1)
+    x[0], x[1] = float(x0), float(x1)
+    prev, cur = x[0], x[1]
+    for k in range(1, n_max):
+        prev, cur = cur, coeff * cur - decay * prev
+        x[k + 1] = cur
+    return x
+
+
+def characteristic_roots(theta, gamma):
+    """Roots of mu^2 - cos(theta)(1 + e^{-gamma}) mu + e^{-gamma} = 0.
+
+    For an underdamped cavity they form a complex-conjugate pair whose
+    common modulus is exp(-gamma/2) (the product of the roots equals
+    e^{-gamma}); the first root returned has nonnegative imaginary part.
+    """
+    decay = math.exp(-float(gamma))
+    s = math.cos(float(theta)) * (1.0 + decay)
+    disc = complex(s * s - 4.0 * decay)
+    root = np.sqrt(disc)
+    mu1 = (s + root) / 2.0
+    mu2 = (s - root) / 2.0
+    if mu1.imag < mu2.imag:
+        mu1, mu2 = mu2, mu1
+    return complex(mu1), complex(mu2)
+
+
+def mirror_speed_estimate(sched, f_meters, n):
+    """Physical right-mirror speed |dl2/dt| in meters per second.
+
+    Uses the round-trip time T_R = (l1 + l2)/c_light as the unit of time per
+    trip, so v = gdot * (l2 - f) / T_R; as l2 grows the speed approaches
+    gdot * c_light.
+    """
+    f_meters = float(f_meters)
+    if f_meters <= 0.0:
+        raise ValidationError("physical focal length must be > 0")
+    l1, l2 = sched.positions_at(float(n))
+    scale = f_meters / sched.geom0.f
+    l1_m, l2_m, f_m = l1 * scale, l2 * scale, f_meters
+    _, gdot = sched.friction.evaluate(float(n))
+    round_trip_time = (l1_m + l2_m) / SPEED_OF_LIGHT
+    return abs(gdot) * (l2_m - f_m) / round_trip_time
+
+
+def centered_grid(n, dx):
+    """Grid of n points spaced dx, centered so that index n//2 sits at 0."""
+    return (np.arange(n) - n // 2) * dx
+
+
+def overlap(f1, f2):
+    """Normalized modulus of the inner product, in [0, 1]."""
+    ip = abs(inner_product(f1, f2))
+    return ip / math.sqrt(f1.norm_sq() * f2.norm_sq())

@@ -22,6 +22,7 @@ import kanai_cavity
 from kanai_cavity import cli
 from kanai_cavity._formats import csv_text
 from kanai_cavity.paraxial import stability_map
+from textcheck import assert_equal_text
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 THETA = math.acos(-0.3)
@@ -78,7 +79,8 @@ def test_stability_raster_matches_its_columns(tmp_path):
     raster = stability_map((0.5, 3.5), (0.0, 4.0), 101)
     expected = csv_text(["l1_over_f", "l2_over_f", "stable", "theta"],
                         raster.columns())
-    assert (out / "stability_raster.csv").read_bytes() == expected.encode()
+    assert_equal_text((out / "stability_raster.csv").read_bytes(),
+                      expected.encode())
 
 
 def test_stability_degenerate_grid_single_cell(tmp_path):
@@ -107,8 +109,8 @@ def test_stability_jobs_output_identical(tmp_path):
                      "--jobs", "1"]) == 0
     assert cli.main(["stability", "--config", cfg, "--out", str(out4),
                      "--jobs", "4"]) == 0
-    assert ((out1 / "stability_raster.csv").read_bytes()
-            == (out4 / "stability_raster.csv").read_bytes())
+    assert_equal_text((out1 / "stability_raster.csv").read_bytes(),
+                      (out4 / "stability_raster.csv").read_bytes())
 
 
 # ---------------------------------------------------------------------------

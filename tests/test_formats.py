@@ -24,6 +24,7 @@ from kanai_cavity._formats import (CSV_CHUNK_ROWS, atomic_write_bytes,
                                    csv_text, json_text)
 from kanai_cavity.errors import NumericalError
 from kanai_cavity.paraxial import stability_map
+from textcheck import assert_equal_text
 
 
 def reference_cell(v):
@@ -51,7 +52,7 @@ def reference_csv_text(header, rows):
 def assert_same_text(columns):
     header = ["c%d" % j for j in range(len(columns))]
     expected = reference_csv_text(header, zip(*columns))
-    assert csv_text(header, columns) == expected
+    assert_equal_text(csv_text(header, columns), expected)
 
 
 def float_from_bits(bits):
@@ -228,7 +229,8 @@ def test_row_count_one_past_chunk_size():
     columns = [np.arange(n), np.linspace(-1.0, 1.0, n), np.arange(n) % 3 == 0]
     text = csv_text(["n", "x", "flag"], columns)
     assert text.count("\n") == n + 1
-    assert text == reference_csv_text(["n", "x", "flag"], zip(*columns))
+    assert_equal_text(text, reference_csv_text(["n", "x", "flag"],
+                                               zip(*columns)))
 
 
 #: Row counts on both sides of the chunk size, and over two chunks.
@@ -288,7 +290,8 @@ def test_columns_at_chunk_edges_match_the_per_cell_formatter(drawn):
     columns, arrays = drawn
     header = ["c%d" % j for j in range(len(columns))]
     rows = zip(*[array.tolist() for array in arrays])
-    assert csv_text(header, columns) == reference_csv_text(header, rows)
+    assert_equal_text(csv_text(header, columns),
+                      reference_csv_text(header, rows))
 
 
 def test_short_and_pair_columns_are_not_sorted(monkeypatch):
@@ -341,7 +344,7 @@ def test_raster_peak_memory_below_reference():
     new_peak, text = peak(lambda: csv_text(header, columns))
     ref_peak, expected = peak(
         lambda: reference_csv_text(header, zip(*columns)))
-    assert text == expected
+    assert_equal_text(text, expected)
     assert new_peak <= ref_peak, (new_peak, ref_peak)
 
 

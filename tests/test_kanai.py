@@ -280,14 +280,14 @@ def test_centroid_obeys_classical_equation():
 
 def test_crosscheck_stationary_mode():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(0.0))
-    records = crosscheck_engines(GEOM0, WAVELENGTH, sched, 200)
+    records = crosscheck_engines(sched, WAVELENGTH, 200)
     assert len(records) == 201
     assert max(r["l2_distance"] for r in records) < 1e-6
 
 
 def test_crosscheck_damped_mode():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-2))
-    records = crosscheck_engines(GEOM0, WAVELENGTH, sched, 200)
+    records = crosscheck_engines(sched, WAVELENGTH, 200)
     assert max(r["l2_distance"] for r in records) < 1e-2
     widths_wave = np.array([r["width_wave"] for r in records])
     widths_analytic = np.array([r["width_analytic"] for r in records])
@@ -297,7 +297,7 @@ def test_crosscheck_damped_mode():
 def test_crosscheck_displaced_centroids_agree_three_ways():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-2))
     x0 = SPOT0
-    records = crosscheck_engines(GEOM0, WAVELENGTH, sched, 200, center=x0)
+    records = crosscheck_engines(sched, WAVELENGTH, 200, center=x0)
     ray = iterate_ray(sched, RayState(x0, 0.0), 200).x
     wave = np.array([r["centroid_wave"] for r in records])
     analytic = np.array([r["centroid_analytic"] for r in records])
@@ -453,8 +453,7 @@ def test_crosscheck_records_match_per_trip_calls(friction, n_max, center,
     where the fields agree to rounding (measured: at most 2.1e-8)."""
     sched = MirrorSchedule(GEOM0, FRICTIONS[friction])
     kwargs = dict(center=center * SPOT0, tilt=tilt)
-    got = crosscheck_engines(GEOM0, WAVELENGTH, sched, n_max, grid_n=256,
-                             **kwargs)
+    got = crosscheck_engines(sched, WAVELENGTH, n_max, grid_n=256, **kwargs)
     ref = reference_crosscheck(GEOM0, WAVELENGTH, sched, n_max, **kwargs)
     analytic = ("centroid_analytic", "width_analytic")
     assert bit_patterns(got, analytic) == bit_patterns(ref, analytic)

@@ -7,6 +7,7 @@ import pytest
 
 from kanai_cavity.errors import ContractViolationError, ValidationError
 from kanai_cavity.paraxial import (
+    CANONICAL_TOL,
     AbcdMatrix,
     ResonatorGeometry,
     half_trip_matrix,
@@ -46,7 +47,7 @@ def test_cancelling_lenses():
 
 def test_composition_is_unimodular():
     m = propagation(2.0) @ thin_lens(1.0)
-    assert abs(m.det - 1.0) < 1e-12
+    assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
 
 
 def test_elementary_validation():
@@ -115,8 +116,13 @@ def test_unstable_matrix():
 
 
 def test_non_canonical_matrix_rejected():
-    with pytest.raises(ContractViolationError):
-        stability(AbcdMatrix(0.5, 1.0, -0.5, 0.9))
+    """|a - d| up to CANONICAL_TOL counts as canonical; beyond it, or NaN,
+    does not."""
+    d = 0.25
+    assert stability(AbcdMatrix(d + 0.5 * CANONICAL_TOL, 1.0, -1.0, d)).stable
+    for a, d_el in ((0.5, 0.9), (d + 2.0 * CANONICAL_TOL, d), (math.nan, d)):
+        with pytest.raises(ContractViolationError):
+            stability(AbcdMatrix(a, 1.0, -0.5, d_el))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +132,7 @@ def test_non_canonical_matrix_rejected():
 def test_half_trip_reference_values():
     h = half_trip_matrix(REFERENCE_GEOMETRY)
     assert_matrix_close(h, [[-0.5, 0.65], [-1.0, -0.7]])
-    assert abs(h.det - 1.0) < 1e-12
+    assert abs(h.a * h.d - h.b * h.c - 1.0) < 1e-12
 
 
 def test_half_trips_compose_to_round_trip():
@@ -157,7 +163,7 @@ def test_random_geometry_invariants():
     for _ in range(1000):
         l1, l2 = rng.uniform(0.0, 4.0, size=2)
         m = round_trip_matrix(ResonatorGeometry(l1, l2))
-        assert abs(m.det - 1.0) < 1e-12
+        assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
         assert abs(m.a - m.d) < 1e-12
         assert abs(m.b * m.c - (m.a ** 2 - 1.0)) < 1e-12
         a, b, c = round_trip_elements(l1, l2)

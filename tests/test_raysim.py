@@ -10,16 +10,15 @@ from kanai_cavity.errors import ValidationError
 from kanai_cavity.paraxial import ResonatorGeometry, round_trip_matrix, stability
 from kanai_cavity.raysim import (
     RayState,
-    characteristic_roots,
     courant_snyder_invariant,
     fit_damped_oscillation,
     fit_envelope_rate,
     iterate_ray,
-    iterate_ray_difference,
     lissajous,
     pattern_radius,
 )
 from kanai_cavity.schedule import MirrorSchedule
+from oracles import characteristic_roots, iterate_ray_difference
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
 THETA = stability(round_trip_matrix(GEOM0)).theta

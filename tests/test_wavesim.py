@@ -25,15 +25,14 @@ from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity import core, wavesim
 import grid_oracles
 import oracles
+from oracles import centered_grid, overlap
 from kanai_cavity.wavesim import (
     ComplexField,
     GaussianBeam,
-    centered_grid,
     eigenmode_beam,
     fresnel_round_trip,
     gaussian_q_trace,
     inner_product,
-    overlap,
     phase_aligned_l2,
     run_collapse,
     sample_beam,
@@ -79,9 +78,6 @@ def test_field_validation():
         ComplexField(np.ones(100, complex), 1e-3, 0.0, WAVELENGTH)  # not 2^k
     with pytest.raises(ValidationError):
         ComplexField(np.zeros(64, complex), 1e-3, 0.0, WAVELENGTH)  # zero norm
-    with pytest.raises(ValidationError):
-        ComplexField(np.ones(64, complex), 1e-3, 0.0, WAVELENGTH,
-                     plane_tag="waist")
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
@@ -195,9 +191,6 @@ def test_output_grid_rescales_with_b():
     out = fresnel_round_trip(field, MATRIX0)
     expected_dx = WAVELENGTH * abs(MATRIX0.b) / (4096 * field.dx)
     assert abs(out.dx - expected_dx) < 1e-18
-    assert out.plane_tag == "left_mirror"
-    tagged = fresnel_round_trip(field, MATRIX0, plane_tag="right_mirror")
-    assert tagged.plane_tag == "right_mirror"
 
 
 def test_near_focal_plane_rejected():
@@ -647,8 +640,10 @@ def test_run_collapse_validation():
                      wavelength=WAVELENGTH)
     with pytest.raises(ValidationError):
         run_collapse(sched, EIGENBEAM, 10, engine="fresnel")  # no wavelength
-    with pytest.raises(ValidationError):
-        run_collapse(sched, eigen_field(256), 10, engine="gaussian_q")
+    for engine in ("fresnel", "split_step", "gaussian_q"):
+        with pytest.raises(ValidationError):
+            run_collapse(sched, eigen_field(256), 10, engine=engine,
+                         wavelength=WAVELENGTH)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +669,7 @@ def reference_fresnel_round_trip(field, m):
         amp = np.sqrt(1j / (lam * b_el))
     post = np.exp(-1j * math.pi * d_el * x_out ** 2 / (lam * b_el))
     out = amp * dx_in * post * spectrum
-    return ComplexField(out, dx_out, x_out[0], lam, field.plane_tag)
+    return ComplexField(out, dx_out, x_out[0], lam)
 
 
 #: Stage weights of the 5-stage Suzuki fractal composition: sandwiching
@@ -1250,7 +1245,7 @@ def test_sample_beam_matches_the_retired_exponential(n_samples):
     per sample."""
     for center, tilt, window in ((0.0, 0.0, 16.0), (SPOT0, 2e-3, 16.0),
                                  (-2.5 * SPOT0, -1e-3, 40.0)):
-        beam = GaussianBeam(EIGENBEAM.q, 1.3, center, tilt)
+        beam = GaussianBeam(EIGENBEAM.q, center, tilt)
         ref = grid_oracles.sample_beam(beam, WAVELENGTH, n_samples,
                                        window_factor=window)
         got = sample_beam(beam, WAVELENGTH, n_samples, window_factor=window)
