@@ -32,7 +32,8 @@ from .errors import (DomainError, NumericalError, UnsupportedRegimeError,
 
 #: Gauss-Legendre nodes of a Magnus step, as fractions of the step.
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-#: Magnus steps per round trip of :func:`oscillator_flow` before halving.
+#: Magnus steps per round trip of :func:`oscillator_flow` before halving,
+#: and the block of steps :func:`flow_products` multiplies out at once.
 _START_STEPS = 8
 #: Halvings after which the ODE branch gives up (512 steps per trip).
 _MAX_HALVINGS = 6
@@ -285,7 +286,7 @@ def _times(e, p):
             e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
 
 
-def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
+def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0), ends_only=False):
     """Running products of 2x2 step matrices, applied in step order.
 
     ``steps`` holds the entries ``(e11, e12, e21, e22)`` of the step
@@ -294,30 +295,31 @@ def flow_products(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
     ``start`` holds the entries of S (by default the identity) and is row
     0.  Each column of S is a state vector carried through the flow, so
     ``start = (x, y, x', y')`` traces two states (x, x') and (y, y') at
-    once.  The running products inside each block of ``block`` steps are
-    formed for all blocks at once, and a scalar loop carries S from block
-    end to block end; with ``block = 1`` every product is formed one step
-    at a time, so its rounding does not depend on how the step matrices
-    were computed.
+    once.  The running products inside each block of 8 steps are formed
+    for all blocks at once; a Hillis-Steele prefix product carries S to
+    every block end in ceil(log2(blocks + 1)) array products, and one more
+    product carries it into the blocks.  With ``ends_only`` only the block
+    ends, rows 0, 8, 16, ... and K, are formed and returned.
     """
-    k = len(steps[0])
+    k, size = len(steps[0]), _START_STEPS
+    blocks = -(-k // size)
     # identity steps pad the last block; their rows are dropped
-    run = np.zeros((4, -(-k // block) * block))
-    run[::3, k:] = 1.0
+    run = np.tile([[1.0], [0.0], [0.0], [1.0]], blocks * size)
     run[:, :k] = steps
-    run = run.reshape(4, -1, block)
-    for j in range(1, block):
-        run[:, :, j] = _times(run[:, :, j], run[:, :, j - 1])
-    ends = [float(x) for x in start]
-    p11, p12, p21, p22 = ends
-    for e11, e12, e21, e22 in zip(*run[:, :, -1].tolist()):
-        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
-                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
-        ends += (p11, p12, p21, p22)
-    ends = np.array(ends).reshape(-1, 4).T
-    run[:, :, :-1] = _times(run[:, :, :-1], ends[:, :-1, None])
-    run[:, :, -1] = ends[:, 1:]
-    return np.concatenate((ends[:, :1], run.reshape(4, -1)[:, :k]), axis=1).T
+    # step-major: run[:, j] holds step j of every block
+    run = run.reshape(4, blocks, size).transpose(0, 2, 1).copy()
+    for j in range(1, size):
+        run[:, j] = _times(run[:, j], run[:, j - 1])
+    ends = np.column_stack((start, run[:, -1]))
+    shift = 1
+    while shift <= blocks:
+        ends[:, shift:] = _times(ends[:, shift:], ends[:, :-shift])
+        shift *= 2
+    if ends_only:
+        return ends.T
+    run[:, :-1] = _times(run[:, :-1], ends[:, None, :-1])
+    run[:, -1] = ends[:, 1:]
+    return np.concatenate((ends.T[:1], run.transpose(2, 1, 0).reshape(-1, 4)[:k]))
 
 
 def _oscillator_steps(friction, omega_sq, lo, hi):
@@ -335,15 +337,15 @@ def _oscillator_steps(friction, omega_sq, lo, hi):
     return [decay * e for e in steps]
 
 
-def oscillator_flow(friction, omega_sq, n_max, halvings=0):
+def oscillator_flow(friction, omega_sq, n_max, halvings=0, trips=False):
     """The flow of x'' + gdot x' + omega^2 x = 0 in (x, x') on [0, n_max].
 
     Steps end on the grid of 1/(8 * 2**halvings) trip, at n_max and at
     every table node, where gdot has kinks that would cost a step across
     them an order.  Returns the step ends t and the (t.size, 4) array whose
-    row k holds (u2, u1, u2', u1') at t[k]; :func:`flow_products` takes the
-    steps in blocks of one trip's grid steps.  With constant friction each
-    step, and the flow, is exact to rounding.
+    row k holds (u2, u1, u2', u1') at t[k]; with ``trips``, and no table
+    node off the grid, only the rows at whole trips.  With constant
+    friction each step, and the flow, is exact to rounding.
     """
     per_trip = _START_STEPS << halvings
     t = np.arange(math.ceil(n_max * per_trip)) / per_trip
@@ -354,8 +356,10 @@ def oscillator_flow(friction, omega_sq, n_max, halvings=0):
         t = np.sort(np.concatenate((t, nodes)), kind="stable")
         t = np.delete(t, np.flatnonzero(t[1:] == t[:-1]) + 1)
     t = np.append(t, n_max)
-    return t, flow_products(
-        _oscillator_steps(friction, omega_sq, t[:-1], t[1:]), block=per_trip)
+    steps = _oscillator_steps(friction, omega_sq, t[:-1], t[1:])
+    if trips and t.size == _START_STEPS * n_max + 1:
+        return t[::_START_STEPS], flow_products(steps, ends_only=True)
+    return t, flow_products(steps)
 
 
 class ClassicalSolution:

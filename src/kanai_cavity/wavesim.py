@@ -634,7 +634,8 @@ def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     q_right0 = beam_round_trip(q0, sched.half_matrix_at(0.0))
-    t, phi = oscillator_flow(sched.friction, sched.theta ** 2, n_max)
+    t, phi = oscillator_flow(sched.friction, sched.theta ** 2, n_max,
+                             trips=True)
     u2, u1, du2, du1 = phi[np.searchsorted(t, np.arange(n_max + 1))].T
     eg = np.exp(sched.friction.evaluate(np.arange(n_max + 1.0))[0])
     kk = sched.theta / math.sin(sched.theta)
@@ -678,8 +679,8 @@ def _centroid_ray(sched, beam, n_max):
     return trace.x
 
 
-def run_collapse(sched, initial, n_max, engine="fresnel",
-                 wavelength=None, grid_n=DEFAULT_GRID_N,
+def run_collapse(sched, initial, n_max, engine="fresnel", *,
+                 wavelength, grid_n=DEFAULT_GRID_N,
                  window_factor=DEFAULT_WINDOW_FACTOR):
     """Propagate an initial beam along a schedule and log collapse.
 
@@ -692,7 +693,6 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
     n_max : int
     engine : {"fresnel", "split_step", "gaussian_q"}
     wavelength : float
-        Required.
 
     Returns
     -------
@@ -705,8 +705,6 @@ def run_collapse(sched, initial, n_max, engine="fresnel",
         raise ValidationError("n_max must be >= 0")
     if not isinstance(initial, GaussianBeam):
         raise ValidationError("the initial state must be a GaussianBeam")
-    if wavelength is None:
-        raise ValidationError("wavelength is required")
     if engine == "gaussian_q":
         qtrace = gaussian_q_trace(sched, initial.q, n_max, wavelength)
         centroid = _centroid_ray(sched, initial, n_max)

@@ -4,6 +4,10 @@
   closed-form solution :class:`kanai_cavity.schedule.MirrorSchedule` uses;
 * :func:`count_stable_domains` counts the connected stable domains of a
   :class:`kanai_cavity.paraxial.StabilityMap` raster;
+* :func:`stepwise_products` is the running product of 2x2 step matrices
+  that :func:`kanai_cavity.core.flow_products` formed before its prefix
+  scan: block by block, with a scalar loop carrying the start from block
+  end to block end;
 * :func:`trip_flow` and :func:`node_grid_solution` are the damped-oscillator
   flows the gaussian_q engine and the ODE branch of
   :func:`kanai_cavity.core.fundamental_solutions` read before both moved to
@@ -26,8 +30,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.integrate import solve_ivp
 
-from kanai_cavity.core import (ClassicalSolution, _oscillator_steps,
-                               flow_products)
+from kanai_cavity.core import ClassicalSolution, _oscillator_steps, _times
 from kanai_cavity.errors import NumericalError, ValidationError
 from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity.wavesim import inner_product
@@ -92,11 +95,44 @@ def count_stable_domains(raster):
     return count
 
 
+def stepwise_products(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
+    """Running products of 2x2 step matrices, applied in step order.
+
+    ``steps`` holds the entries ``(e11, e12, e21, e22)`` of the step
+    matrices E_0 ... E_{K-1} as arrays.  Returns a (K+1, 4) array whose row
+    k holds the entries (p11, p12, p21, p22) of E_{k-1} ... E_0 S, where
+    ``start`` holds the entries of S (by default the identity) and is row
+    0.  The running products inside each block of ``block`` steps are
+    formed for all blocks at once, and a scalar loop carries S from block
+    end to block end; with ``block = 1`` every product is formed one step
+    at a time, so its rounding does not depend on how the step matrices
+    were computed.
+    """
+    k = len(steps[0])
+    # identity steps pad the last block; their rows are dropped
+    run = np.zeros((4, -(-k // block) * block))
+    run[::3, k:] = 1.0
+    run[:, :k] = steps
+    run = run.reshape(4, -1, block)
+    for j in range(1, block):
+        run[:, :, j] = _times(run[:, :, j], run[:, :, j - 1])
+    ends = [float(x) for x in start]
+    p11, p12, p21, p22 = ends
+    for e11, e12, e21, e22 in zip(*run[:, :, -1].tolist()):
+        p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
+                              e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
+        ends += (p11, p12, p21, p22)
+    ends = np.array(ends).reshape(-1, 4).T
+    run[:, :, :-1] = _times(run[:, :, :-1], ends[:, :-1, None])
+    run[:, :, -1] = ends[:, 1:]
+    return np.concatenate((ends[:, :1], run.reshape(4, -1)[:, :k]), axis=1).T
+
+
 def trip_flow(friction, omega_sq, n_max):
     """(u2, u1, u2', u1') at the integer trips 0 ... n_max, fixed step.
 
     Each trip's 8 steps of the Magnus flow are composed in step order, for
-    all trips at once, and :func:`flow_products` carries the per-trip
+    all trips at once, and :func:`stepwise_products` carries the per-trip
     matrices from trip to trip, one at a time.  Table nodes do not end
     steps.
     """
@@ -107,7 +143,7 @@ def trip_flow(friction, omega_sq, n_max):
     for e11, e12, e21, e22 in zip(*(e[1:] for e in steps)):
         p11, p12, p21, p22 = (e11 * p11 + e12 * p21, e11 * p12 + e12 * p22,
                               e21 * p11 + e22 * p21, e21 * p12 + e22 * p22)
-    return flow_products((p11, p12, p21, p22))
+    return stepwise_products((p11, p12, p21, p22))
 
 
 def node_grid_solution(params, n_max):
@@ -131,7 +167,7 @@ def node_grid_solution(params, n_max):
                 [np.linspace(lo, hi, m << halving, endpoint=False)
                  for lo, hi, m in zip(breaks[:-1], breaks[1:], counts)]
                 + [breaks[-1:]])
-            phi = flow_products(
+            phi = stepwise_products(
                 _oscillator_steps(friction, omega_sq, t[:-1], t[1:]))
             if coarse is not None:
                 change = np.max(np.abs(phi[::2] - coarse))

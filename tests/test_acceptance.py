@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from kanai_cavity.core import FrictionProfile, OscillatorParams, fundamental_solutions
 from kanai_cavity.errors import MappingError
@@ -26,7 +25,6 @@ from kanai_cavity.kanai import (
     quantum_equation_coefficients,
 )
 from kanai_cavity.paraxial import (
-    AbcdMatrix,
     ResonatorGeometry,
     propagation,
     round_trip_elements,

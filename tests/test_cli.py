@@ -729,6 +729,93 @@ def test_stability_run_imports_no_fractions_or_decimal(tmp_path):
     assert (tmp_path / "out" / "stability_raster.csv").is_file()
 
 
+def _libc_version():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return ""
+
+
+def test_cli_import_sets_no_heap_policy(tmp_path):
+    # Importing the package changes nothing in the process: no C library is
+    # opened and mallopt is not called until cli.main runs.  (numpy imports
+    # ctypes itself, so the module's presence would show nothing.)
+    child = ("import ctypes, json, sys\n"
+             "import numpy\n"
+             "opened = []\n"
+             "ctypes.CDLL = lambda *args, **kwargs: opened.append(args)\n"
+             "import kanai_cavity, kanai_cavity.cli\n"
+             "print(json.dumps([opened, kanai_cavity.cli._keep_freed_heap"
+             ".cache_info().currsize]))\n")
+    proc = subprocess.run([sys.executable, "-c", child],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], 0]
+
+
+@pytest.mark.parametrize("libc", ["glibc 2.36", "musl", None, ValueError])
+def test_main_keeps_freed_heap_once_on_glibc(tmp_path, monkeypatch, libc):
+    # cli.main sets M_TRIM_THRESHOLD (-1) to 64 MiB and M_MMAP_THRESHOLD
+    # (-3) to 32 MiB once per process on glibc, and never where os.confstr
+    # raises or names another C library.
+    import ctypes
+
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    class Libc:
+        mallopt = Mallopt()
+
+    def confstr(name):
+        assert name == "CS_GNU_LIBC_VERSION"
+        if libc is ValueError:
+            raise ValueError("unrecognized configuration name")
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(os, "confstr", confstr)
+    cli._keep_freed_heap.cache_clear()
+    config = write_config(tmp_path, run={"n_max": 5, "dn": 1})
+    try:
+        for _ in range(2):
+            assert cli.main(["schedule", "--config", config, "--out",
+                             str(tmp_path / "out")]) == 0
+    finally:
+        cli._keep_freed_heap.cache_clear()
+    expected = [(-1, 64 << 20), (-3, 32 << 20)]
+    assert calls == (expected if libc == "glibc 2.36" else [])
+
+
+@pytest.mark.skipif(not _libc_version().startswith("glibc"),
+                    reason="the heap policy applies on glibc only")
+def test_second_raster_job_reuses_the_freed_heap(tmp_path):
+    # Without the policy glibc trims the heap a 200 x 200 raster freed, and
+    # the second run faults it in again: about 1,740 minor faults each run
+    # after the first.  With it the second run took none.
+    config = write_config(tmp_path, stability={"resolution": 200})
+    child = ("import json, resource, sys\n"
+             "from kanai_cavity import cli\n"
+             "runs = []\n"
+             "for _ in range(2):\n"
+             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "    code = cli.main(['stability', '--config', sys.argv[1], "
+             "'--out', sys.argv[2]])\n"
+             "    runs.append([code, resource.getrusage("
+             "resource.RUSAGE_SELF).ru_minflt - before])\n"
+             "print(json.dumps(runs))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, config, str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    (first_code, first), (second_code, second) = json.loads(proc.stdout)
+    assert first_code == second_code == 0
+    assert second < 0.1 * first, (first, second)
+
+
 def test_parser_is_reused_across_calls(tmp_path, capsys):
     # main parses with one parser built once: two runs of different commands
     # and then a bad argv behave as with a fresh parser each call

@@ -11,6 +11,7 @@ from kanai_cavity.core import (
     ClassicalSolution,
     FrictionProfile,
     OscillatorParams,
+    flow_products,
     fundamental_solutions,
     magnus4_steps,
     oscillator_flow,
@@ -21,7 +22,7 @@ from kanai_cavity.errors import (
     UnsupportedRegimeError,
     ValidationError,
 )
-from oracles import node_grid_solution
+from oracles import node_grid_solution, stepwise_products
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +539,59 @@ def test_flow_grid_ends_steps_at_nodes_and_trips(case):
         assert np.max(np.abs(wronskian - np.exp(-g_t))) < 1e-12
     if case == "node_near_grid":
         assert np.min(np.diff(t)) == pytest.approx(1e-12, rel=1e-3)
+
+
+def _damped_rotations(rng, k):
+    """Entries of k random steps of one stable flow: damped rotations
+    e^{-d/2} [[cos p, sin p / w], [-w sin p, cos p]], with w fixed."""
+    phase = rng.uniform(0.0, 3.0, k)
+    w = rng.uniform(0.3, 3.0)
+    decay = np.exp(-0.5 * rng.uniform(0.0, 2e-3, k))
+    cos, sin = decay * np.cos(phase), decay * np.sin(phase)
+    return cos, sin / w, -w * sin, cos
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 63, 64, 65, 1000, 24001])
+def test_flow_products_follow_the_stepwise_products(k):
+    """The blocked scan against the products carried one step at a time:
+    row 0 is the start itself, every column stays within 2e-14 of its
+    largest magnitude (the worst case read 4.1e-15), and the ends-only rows
+    are the full result's rows at the block ends, bit for bit; its last
+    row, K, closes a padded block and is held to the same bound."""
+    rng = np.random.default_rng(k)
+    steps = _damped_rotations(rng, k)
+    for start in ((1.0, 0.0, 0.0, 1.0), tuple(rng.normal(size=4))):
+        got = flow_products(steps, start)
+        ref = stepwise_products(steps, start)
+        assert got.shape == (k + 1, 4)
+        assert np.array_equal(got[0], start)
+        scale = np.max(np.abs(ref), axis=0)
+        assert (np.max(np.abs(got - ref), axis=0) <= 2e-14 * scale).all()
+        ends = flow_products(steps, start, ends_only=True)
+        assert ends.shape == (-(-k // 8) + 1, 4)
+        assert ends[:-1].tobytes() == got[:-1:8].tobytes()
+        assert (np.abs(ends[-1] - ref[-1]) <= 2e-14 * scale).all()
+
+
+@pytest.mark.parametrize("case", ["constant", "on_grid", "off_grid"])
+def test_trip_rows_are_the_full_flow_rows(case):
+    """``oscillator_flow(trips=True)`` returns the full flow's rows at the
+    whole trips, bit for bit; a table with nodes off the grid keeps every
+    step end."""
+    friction = {"constant": FrictionProfile.constant(1.3e-3),
+                "on_grid": _table([0.0, 1.0, 2.5, 4.125, 9.0, 30.0]),
+                "off_grid": OFF_GRID_TABLE}[case]
+    for n_max in (0, 1, 7, 30):
+        t, phi = oscillator_flow(friction, 1.3 ** 2, n_max)
+        t_trips, phi_trips = oscillator_flow(friction, 1.3 ** 2, n_max,
+                                             trips=True)
+        if case == "off_grid" and n_max > 3:
+            assert t_trips.size == t.size > 8 * n_max + 1
+            assert phi_trips.tobytes() == phi.tobytes()
+        else:
+            assert np.array_equal(t_trips, np.arange(n_max + 1.0))
+            rows = phi[np.searchsorted(t, t_trips)]
+            assert np.ascontiguousarray(phi_trips).tobytes() == rows.tobytes()
 
 
 def test_overdamped_ode_branch_stays_finite_over_long_window():

@@ -91,14 +91,29 @@ the tabulated crosscheck by at most 3.2e-16, 1.0e-15 and 3.7e-13.  The
 analytic columns and trip 0's ``l2_distance`` of 0.0 did not move.
 ``tests/grid_oracles.py`` keeps the per-sample formulas.  The other eight
 cases kept their bytes.
+
+Six digests (the README ``ray``, ``lissajous`` and ``collapse`` and the
+tabulated ``ray``, ``collapse`` and crosscheck) were re-recorded, a rounding
+re-baseline, when ``core.flow_products`` stopped carrying the start from
+block end to block end in a scalar loop and began to carry it by a
+Hillis-Steele prefix product over blocks of 8 steps.  Against the products
+carried one step at a time (``oracles.stepwise_products``), every column
+moved by at most 1.2e-14 of its largest magnitude (the README lissajous
+``yp``); the crosscheck's ``l2_distance`` moved by at most 3.7e-13 absolute.
+``test_rescanned_cases_follow_the_stepwise_products`` holds each file to
+that oracle.  The other eight cases kept their bytes.
 """
 
+import csv
 import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
-from kanai_cavity import cli
+from kanai_cavity import cli, core, raysim
+from oracles import stepwise_products
 
 #: The README quick-start scenario.
 README_SCENARIO = {
@@ -140,19 +155,19 @@ README_DIGESTS = {
     },
     "ray": {
         "ray_fit.json":
-            "881447b215e813c9342cd10bba4d2367b06e2db3e7f108ef079aaee444d058bb",
+            "d8cc5cc064da05f47fcf1d3132295038e415c6897017e50e3d318e4bc71f0acb",
         "ray_trace.csv":
-            "6711b1ff7b7795a7bc2f7e1e4f0909ab61c66839eee2117abf3c14749ddb29ef",
+            "ac925fbd079f04a6d5a12b4fb4e305a27518dd07e2c7452d0462fe15fcf0d91d",
     },
     "lissajous": {
         "lissajous_fit.json":
-            "f89d063dc0b840263c7e24ffc20fc5d739a4675ea6c0fc249fa86d9589393283",
+            "a99a4772ef06b6cb9fc66ed9cfdd48cc54df6f7e1a0dcd74ab16e5e13d04f214",
         "lissajous_trace.csv":
-            "e8835944283c3ae660da45a65dd64c298f8e1813ffddad511e734793dae4cd29",
+            "53b3330d3e8e9878420fd6d5754ffaf12b7cac5fb1e8f1504f029f4edebd2856",
     },
     "collapse": {
         "collapse_gaussian_q.csv":
-            "16c69ba5bd0b52ab1070047a0a724cb986221b7df14e708381bf9a1ebc4fc83d",
+            "7a85ba3196cd11a9f3d2a74d201d99c75f44f1861c10ad4e310916a45acde176",
     },
     "crosscheck": {
         "crosscheck_report.json":
@@ -167,13 +182,13 @@ TABULATED_DIGESTS = {
     },
     "ray": {
         "ray_fit.json":
-            "990bddedd503c4b9a2bdd8d6d795aa2b69078267e7b8d7bdec9956b7c8119d6f",
+            "4ed2aa301aa5e1f5d0a044da2daa862878af27a59865c056cfb46fab8b4e5bc3",
         "ray_trace.csv":
-            "4afe0537c0c5e3777eee2a7e1beaeb9aa97719d9dfff9b94f2a91498c3027a54",
+            "21005a8624b9b3fd1da29d96e9ed1d2d035be3d9df3f384efb9e9c1f89766a01",
     },
     "collapse": {
         "collapse_gaussian_q.csv":
-            "1b919592236be34ccc28b48b0919cc1848c358ff536b6323f5dd1b0aea07cabc",
+            "4808ec648afa19cd398cf7377e6bfb10794a8a3d2577044ab64bd057c730ddad",
     },
 }
 
@@ -191,7 +206,7 @@ GRID_DIGESTS = {
 
 #: A 20-trip crosscheck at N = 512 on the tabulated table.
 TABULATED_CROSSCHECK_DIGEST = \
-    "e50b97a9a2b0920ae6e121657603a122d3691dd6353ff550ca576543afd51b4c"
+    "7e1225187cd2af82e55beec89134d56a6f3cb85dfa4e1701b33dd51f3076e5a6"
 
 
 def _write_table(tmp_path):
@@ -240,3 +255,85 @@ def test_tabulated_crosscheck_bytes(tmp_path):
     scenario = dict(TABULATED_SCENARIO, run={"n_max": 20, "grid_n": 512})
     assert _digests(tmp_path, scenario, "crosscheck") == {
         "crosscheck_report.json": TABULATED_CROSSCHECK_DIGEST}
+
+
+def _stepwise(steps, start=(1.0, 0.0, 0.0, 1.0), ends_only=False):
+    """``flow_products`` with every product carried one step at a time."""
+    rows = stepwise_products(steps, start)
+    return rows[::8] if ends_only else rows
+
+
+def _columns(name, text):
+    """The numbers of a CSV file by column, or of a JSON file by key path
+    (list entries share their list's path)."""
+    columns = {}
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        for j, key in enumerate(header):
+            columns[key] = [float(row[j]) for row in rows]
+        return columns
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, path + "/" + key)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, path + "[]")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            columns.setdefault(path, []).append(float(value))
+    walk(json.loads(text), "")
+    return columns
+
+
+#: The six cases whose digests moved when ``core.flow_products`` began to
+#: carry the start by a prefix scan: (scenario, command, run section).
+RESCANNED = {
+    "readme_ray": (README_SCENARIO, "ray", README_SCENARIO["run"]),
+    "readme_lissajous": (README_SCENARIO, "lissajous", README_SCENARIO["run"]),
+    "readme_collapse": (README_SCENARIO, "collapse", README_SCENARIO["run"]),
+    "tabulated_ray": (TABULATED_SCENARIO, "ray",
+                      dict(TABULATED_SCENARIO["run"], dn=1)),
+    "tabulated_collapse": (TABULATED_SCENARIO, "collapse",
+                           dict(TABULATED_SCENARIO["run"], dn=1)),
+    "tabulated_crosscheck": (TABULATED_SCENARIO, "crosscheck",
+                             {"n_max": 20, "grid_n": 512}),
+}
+#: Largest change of a rescanned column, relative to its largest magnitude
+#: (the README lissajous ``yp`` moved most, by 1.2e-14).
+RESCAN_TOL = 5e-14
+#: l2 distances are held absolutely, at the cancellation floor of
+#: ``phase_aligned_l2`` (they moved by at most 3e-13).
+L2_FLOOR = 1e-11
+
+
+@pytest.mark.parametrize("case", sorted(RESCANNED))
+def test_rescanned_cases_follow_the_stepwise_products(tmp_path, monkeypatch,
+                                                      case):
+    """Each re-recorded file against the same run with every flow carried
+    one step at a time by ``oracles.stepwise_products``: the same columns,
+    each within ``RESCAN_TOL`` of its largest magnitude."""
+    scenario, command, run = RESCANNED[case]
+    _write_table(tmp_path)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(dict(scenario, run=run)))
+
+    def outputs(label):
+        out = tmp_path / label
+        assert cli.main([command, "--config", str(config),
+                         "--out", str(out)]) == 0
+        return {path.name: _columns(path.name, path.read_text())
+                for path in sorted(out.iterdir())}
+
+    got = outputs("scan")
+    monkeypatch.setattr(core, "flow_products", _stepwise)
+    monkeypatch.setattr(raysim, "flow_products", _stepwise)
+    expected = outputs("stepwise")
+    assert got.keys() == expected.keys()
+    for name, columns in expected.items():
+        assert got[name].keys() == columns.keys(), name
+        for key, ref in columns.items():
+            diff = np.max(np.abs(np.subtract(got[name][key], ref)))
+            bound = (L2_FLOOR if "l2_distance" in key
+                     else RESCAN_TOL * np.max(np.abs(ref)))
+            assert diff <= bound, (name, key, diff)

@@ -18,7 +18,8 @@ from kanai_cavity.raysim import (
     pattern_radius,
 )
 from kanai_cavity.schedule import MirrorSchedule
-from oracles import characteristic_roots, iterate_ray_difference
+from oracles import (characteristic_roots, iterate_ray_difference,
+                     stepwise_products)
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
 THETA = stability(round_trip_matrix(GEOM0)).theta
@@ -191,52 +192,45 @@ def test_fit_requires_enough_structure():
 
 
 # ---------------------------------------------------------------------------
-# bit-for-bit oracle: the per-trip loops the ray traces were written with
+# oracle: the running products carried one trip at a time
 
 
-def reference_elements(sched, n_max):
-    a, b, c = sched.elements_at(np.arange(n_max, dtype=float))
-    return np.broadcast_to(a, b.shape).tolist(), b.tolist(), c.tolist()
+#: Largest deviation of a ray column from the one-trip-at-a-time products,
+#: relative to the column's largest magnitude (1.0e-13 was the worst of
+#: 1,000 seeded schedules).
+SCAN_TOL = 2e-13
+#: The comparison stops at the first trip where the reference leaves this
+#: range: past it, under- and overflow decide the reference's low digits.
+NORMAL_RANGE = (1e-280, 1e280)
 
 
-def reference_ray(sched, x0, xp0, n_max):
-    a_list, b_list, c_list = reference_elements(sched, n_max)
-    x, xp = [x0], [xp0]
-    xc, xpc = x0, xp0
-    for k in range(n_max):
-        a, b, c = a_list[k], b_list[k], c_list[k]
-        xc, xpc = a * xc + b * xpc, c * xc + a * xpc
-        x.append(xc)
-        xp.append(xpc)
-    return x, xp
-
-
-def reference_lissajous(sched, init2d, n_max):
-    x0, xp0, y0, yp0 = (float(v) for v in init2d)
-    x, xp = reference_ray(sched, x0, xp0, n_max)
-    y, yp = reference_ray(sched, y0, yp0, n_max)
-    return x, xp, y, yp
-
-
-def float_bits(values):
-    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-
-
-def random_start(rng):
-    """One start value: ordinary, a signed zero, tiny, or huge."""
-    kind = rng.integers(6)
+def start_value(rng):
+    """One start value: a signed zero, ordinary, small or large."""
+    kind = rng.integers(4)
     sign = rng.choice((-1.0, 1.0))
     if kind == 0:
         return sign * 0.0
     if kind == 1:
-        return sign * rng.uniform(0.5, 2.0) * 1e-300
+        return sign * 10.0 ** rng.uniform(-100.0, -1.0)
     if kind == 2:
-        return sign * 5e-324
-    if kind == 3:
-        return sign * rng.uniform(0.5, 2.0) * 1e200
-    if kind == 4:
-        return sign * rng.uniform(0.5, 1.7) * 1e308
+        return sign * 10.0 ** rng.uniform(1.0, 100.0)
     return rng.uniform(-2.0, 2.0)
+
+
+def assert_follows_stepwise(got, sched, start, n_max, seed):
+    """``got`` against ``stepwise_products`` of the trip matrices, one trip
+    at a time, up to the first trip outside ``NORMAL_RANGE``."""
+    a, b, c = sched.elements_at(np.arange(n_max, dtype=float))
+    ref = stepwise_products((a, b, c, a), start)
+    mag = np.abs(ref)
+    inside = (mag == 0.0) | ((mag >= NORMAL_RANGE[0])
+                             & (mag <= NORMAL_RANGE[1]))
+    stop = np.flatnonzero(~inside.all(axis=1))
+    stop = stop[0] if stop.size else n_max + 1
+    got, ref = got[:stop], ref[:stop]
+    assert np.isfinite(got).all(), seed
+    scale = np.max(np.abs(ref), axis=0)
+    assert (np.max(np.abs(got - ref), axis=0) <= SCAN_TOL * scale).all(), seed
 
 
 def random_schedule(rng, seed, n_max):
@@ -269,27 +263,28 @@ def random_schedule(rng, seed, n_max):
 
 
 @pytest.mark.parametrize("block", range(4))
-def test_ray_traces_match_the_per_trip_loops_bit_for_bit(block):
-    """iterate_ray and lissajous against the reference loops on 240 seeded
-    schedules (60 per block): n_max from 1 to 4000, starts from +-0.0 to
-    overflow, every float64 bit pattern of x, x', y and y' compared."""
+def test_ray_traces_follow_the_stepwise_products(block):
+    """iterate_ray and lissajous against the trip matrices carried one trip
+    at a time on 240 seeded schedules (60 per block): n_max from 1 to 4000,
+    starts from +-0.0 to 1e+-100, every column within ``SCAN_TOL`` of its
+    largest magnitude."""
     with np.errstate(all="ignore"):
         for seed in range(60 * block, 60 * (block + 1)):
             rng = np.random.default_rng(seed)
             n_max = int(rng.choice(
                 (1, 2, 3, rng.integers(4, 200), rng.integers(200, 4001))))
             sched = random_schedule(rng, seed, n_max)
-            init = [random_start(rng) for _ in range(4)]
+            x0, xp0, y0, yp0 = (start_value(rng) for _ in range(4))
 
-            trace = iterate_ray(sched, RayState(init[0], init[1]), n_max)
-            x, xp = reference_ray(sched, init[0], init[1], n_max)
+            trace = iterate_ray(sched, RayState(x0, xp0), n_max)
             assert np.array_equal(trace.n, np.arange(n_max + 1)), seed
-            assert np.array_equal(float_bits(trace.x), float_bits(x)), seed
-            assert np.array_equal(float_bits(trace.xp), float_bits(xp)), seed
+            zeros = np.zeros(n_max + 1)
+            got = np.stack((trace.x, zeros, trace.xp, zeros), axis=1)
+            assert_follows_stepwise(got, sched, (x0, 0.0, xp0, 0.0), n_max,
+                                    seed)
 
-            trace = lissajous(sched, init, n_max)
-            expected = reference_lissajous(sched, init, n_max)
-            got = (trace.x, trace.xp, trace.y, trace.yp)
+            trace = lissajous(sched, (x0, xp0, y0, yp0), n_max)
             assert np.array_equal(trace.n, np.arange(n_max + 1)), seed
-            for axis, ref in zip(got, expected):
-                assert np.array_equal(float_bits(axis), float_bits(ref)), seed
+            got = np.stack((trace.x, trace.y, trace.xp, trace.yp), axis=1)
+            assert_follows_stepwise(got, sched, (x0, y0, xp0, yp0), n_max,
+                                    seed)

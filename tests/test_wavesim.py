@@ -417,7 +417,7 @@ def fixed_flow(rows_at):
     identity at t = 0); it records the trip count of each call."""
     calls = []
 
-    def flow(friction, omega_sq, n_max, halvings=0):
+    def flow(friction, omega_sq, n_max, halvings=0, trips=False):
         calls.append(n_max)
         return (np.arange(n_max + 1.0),
                 np.array([(1.0, 0.0, 0.0, 1.0)]
@@ -466,17 +466,16 @@ def test_gaussian_q_nan_flow_passes_through(monkeypatch):
 @pytest.mark.parametrize("n_max", [0, 1, 7, 300])
 def test_gaussian_q_carries_one_matrix_per_trip(monkeypatch, n_max):
     """One flow serves both mirrors: a single flow_products call takes the
-    8 n_max Magnus steps in blocks of 8, so its scalar loop carries one
-    matrix per trip."""
+    8 n_max Magnus steps and forms only the rows at whole trips."""
     calls = []
 
-    def counted(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
-        calls.append((len(steps[0]), block))
-        return flow_products(steps, start, block)
+    def counted(steps, start=(1.0, 0.0, 0.0, 1.0), ends_only=False):
+        calls.append((len(steps[0]), ends_only))
+        return flow_products(steps, start, ends_only)
     monkeypatch.setattr(core, "flow_products", counted)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     gaussian_q_trace(sched, EIGENBEAM.q, n_max, wavelength=WAVELENGTH)
-    assert calls == [(8 * n_max, 8)]
+    assert calls == [(8 * n_max, True)]
 
 
 def on_grid_tables():
@@ -504,11 +503,17 @@ def q_from_rows(sched, q0, rows):
             wavesim._mobius(eg * du1, eg * du2 / kc, kc * u1, u2, q_right0))
 
 
+#: Largest |q - q_ref| / |q_ref| against the per-trip flow over 500 trips
+#: (7.1e-15 was the worst of the cases below).
+Q_SCAN_TOL = 5e-14
+
+
 @pytest.mark.parametrize("case", ["constant", "integer_nodes", "eighth_nodes"])
-def test_gaussian_q_keeps_the_per_trip_flow_bits(case):
+def test_gaussian_q_follows_the_per_trip_flow(case):
     """With constant friction, and on tables whose nodes lie on the 1/8-trip
-    grid, q on both mirrors keeps every bit of the per-trip flow
-    ``oracles.trip_flow``, for 0 to 500 trips."""
+    grid, q on both mirrors stays within ``Q_SCAN_TOL`` of the per-trip flow
+    ``oracles.trip_flow``, for 0 to 500 trips; it keeps every bit at 0 and
+    1 trips, where no products are reassociated."""
     frictions = {"constant": FrictionProfile.constant(1.3e-3)}
     frictions["integer_nodes"], frictions["eighth_nodes"] = on_grid_tables()
     friction = frictions[case]
@@ -517,9 +522,12 @@ def test_gaussian_q_keeps_the_per_trip_flow_bits(case):
         rows = oracles.trip_flow(friction, sched.theta ** 2, n_max)
         for q0 in (EIGENBEAM.q, complex(0.3, 1.4 * EIGENBEAM.q.imag)):
             trace = gaussian_q_trace(sched, q0, n_max, wavelength=WAVELENGTH)
-            q_left, q_right = q_from_rows(sched, q0, rows)
-            assert trace.q_left.tobytes() == q_left.tobytes(), (n_max, q0)
-            assert trace.q_right.tobytes() == q_right.tobytes(), (n_max, q0)
+            for got, ref in zip((trace.q_left, trace.q_right),
+                                q_from_rows(sched, q0, rows)):
+                if n_max <= 1:
+                    assert got.tobytes() == ref.tobytes(), (n_max, q0)
+                assert (np.abs(got - ref) <= Q_SCAN_TOL * np.abs(ref)).all(), \
+                    (n_max, q0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +646,7 @@ def test_run_collapse_validation():
     with pytest.raises(ValidationError):
         run_collapse(sched, EIGENBEAM, 10, engine="spectral",
                      wavelength=WAVELENGTH)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError, match="wavelength"):
         run_collapse(sched, EIGENBEAM, 10, engine="fresnel")  # no wavelength
     for engine in ("fresnel", "split_step", "gaussian_q"):
         with pytest.raises(ValidationError):
@@ -953,7 +961,7 @@ def reference_flow_trace(q0, b0, c0, kk, friction, n_max, sign):
     h = 1.0 / Q_STEPS
     steps = magnus4_steps(np.arange(n_max * Q_STEPS) * h, h, generator)
     qs = [q0]
-    trips = flow_products(steps)[Q_STEPS::Q_STEPS].tolist()
+    trips = oracles.stepwise_products(steps)[Q_STEPS::Q_STEPS].tolist()
     for trip, (p11, p12, p21, p22) in enumerate(trips, 1):
         denom = p21 * q0 + p22
         if abs(denom) < 1e-12:
