@@ -149,7 +149,7 @@ def _build_geometry(cfg):
                          default=DEFAULT_WAVELENGTH)
     if wavelength <= 0.0:
         _fail("geometry.lambda_over_f must be > 0")
-    return ResonatorGeometry(l1, l2, 1.0), wavelength
+    return ResonatorGeometry(l1, l2), wavelength
 
 
 def _build_friction(cfg, config_dir):
@@ -250,8 +250,8 @@ def cmd_stability(cfg):
     raster = stability_map((l1_lo, l1_hi), (l2_lo, l2_hi), resolution)
     n_values = _sample_times(run["n_max"], run["dn"])
     path_l1, path_l2 = sched.positions_at(n_values)
-    # The grids as (values, index) pairs: the rows of raster.columns(),
-    # with no sort to find the grid values again.
+    # The grids as (values, index) pairs, l1 outer and l2 inner, with no
+    # sort to find the grid values again.
     steps = np.arange(resolution)
     columns = [(raster.l1_values, np.repeat(steps, resolution)),
                (raster.l2_values, np.tile(steps, resolution)),

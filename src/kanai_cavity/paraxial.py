@@ -7,9 +7,7 @@ ray matrix has equal diagonal elements (``a = d``), and the cavity is stable
 when ``|a| <= 1``, in which case ``theta = arccos(a)`` is the rotation angle
 the transverse ray state advances by per round trip.
 
-All lengths are expressed in units of ``f`` by default (``f = 1``); a
-geometry can carry a physical focal length instead, in which case ``b`` has
-length units and ``c`` inverse-length units.
+All lengths are expressed in units of ``f``.
 """
 
 import math
@@ -45,79 +43,50 @@ class AbcdMatrix:
         return "AbcdMatrix(a=%r, b=%r, c=%r, d=%r)" % (self.a, self.b, self.c, self.d)
 
 
-def propagation(d):
-    """Free propagation over distance ``d >= 0``."""
-    if d is None or d < 0.0:
-        raise ValidationError("propagation distance must be >= 0")
-    return AbcdMatrix(1.0, float(d), 0.0, 1.0)
-
-
-def thin_lens(f):
-    """Thin lens of focal length ``f != 0``."""
-    if f is None or f == 0.0:
-        raise ValidationError("thin lens requires a nonzero focal length")
-    return AbcdMatrix(1.0, 0.0, -1.0 / float(f), 1.0)
-
-
 class ResonatorGeometry:
-    """Lens-in-a-plane-cavity geometry: arm lengths l1, l2 and focal length f.
+    """Lens-in-a-plane-cavity geometry: arm lengths l1, l2 in units of f.
 
     ``l1`` is measured from the left (reference) mirror to the lens and
-    ``l2`` from the lens to the right mirror.  ``s1 = l1/f`` and ``s2 = l2/f``
-    are the scaled arm lengths used by the closed-form matrix elements.
+    ``l2`` from the lens to the right mirror.
     """
 
-    __slots__ = ("l1", "l2", "f")
+    __slots__ = ("l1", "l2")
 
-    def __init__(self, l1, l2, f=1.0):
-        l1, l2, f = float(l1), float(l2), float(f)
-        if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(f)):
+    def __init__(self, l1, l2):
+        l1, l2 = float(l1), float(l2)
+        if not (math.isfinite(l1) and math.isfinite(l2)):
             raise ValidationError("geometry lengths must be finite")
-        if f <= 0.0:
-            raise ValidationError("focal length must be > 0, got %r" % f)
         if l1 < 0.0 or l2 < 0.0:
             raise ValidationError("arm lengths must be >= 0")
         self.l1 = l1
         self.l2 = l2
-        self.f = f
-
-    @property
-    def s1(self):
-        return self.l1 / self.f
-
-    @property
-    def s2(self):
-        return self.l2 / self.f
-
-    def with_positions(self, l1, l2):
-        """Same focal length, new arm lengths."""
-        return ResonatorGeometry(l1, l2, self.f)
 
     def __repr__(self):
-        return "ResonatorGeometry(l1=%r, l2=%r, f=%r)" % (self.l1, self.l2, self.f)
+        return "ResonatorGeometry(l1=%r, l2=%r)" % (self.l1, self.l2)
+
+
+def _half_trip_elements(l1, l2):
+    """Elements (a, b, c, d) of P(l2) Lens P(l1), vectorized, with the bits
+    of the composed product: the products are formed in its order."""
+    a = 1.0 - l2
+    return a, a * l1 + l2, np.full(np.shape(a), -1.0), 1.0 - l1
 
 
 def half_trip_matrix(geom):
     """One-way pass left mirror -> lens -> right mirror: P(l2) Lens P(l1)."""
-    return propagation(geom.l2) @ thin_lens(geom.f) @ propagation(geom.l1)
+    return AbcdMatrix(*_half_trip_elements(geom.l1, geom.l2))
 
 
-def round_trip_matrix(geom, plane="left_mirror"):
-    """Round-trip ray matrix referenced at a flat end mirror.
+def round_trip_matrix(geom):
+    """Round-trip ray matrix referenced at the left mirror.
 
-    For the left mirror the trip is P(l1) Lens P(l2) . P(l2) Lens P(l1)
-    (rightmost factor acts first); for the right mirror the two half trips
-    compose in the opposite order.  Both choices give a canonical matrix
-    (a = d) with the same trace.  The backward half trip is the forward one
-    of the cavity with l1 and l2 swapped.
+    The trip is P(l1) Lens P(l2) . P(l2) Lens P(l1) (rightmost factor acts
+    first): the backward half trip is the forward one of the cavity with l1
+    and l2 swapped.  The matrix is canonical (a = d).  The round trip at the
+    right mirror is this trip of the swapped cavity.
     """
-    forward = half_trip_matrix(geom)
-    backward = half_trip_matrix(geom.with_positions(geom.l2, geom.l1))
-    if plane == "left_mirror":
-        return backward @ forward
-    if plane == "right_mirror":
-        return forward @ backward
-    raise ValidationError("unknown reference plane %r" % (plane,))
+    backward = half_trip_matrix(ResonatorGeometry(geom.l2, geom.l1))
+    return backward @ half_trip_matrix(geom)
 
 
 def round_trip_elements(s1, s2):
@@ -187,12 +156,6 @@ class StabilityMap:
         self.a_values = a_values
         self.stable = stable
         self.theta = theta
-
-    def columns(self):
-        """Flat (l1/f, l2/f, stable, theta) columns, l1 outer, l2 inner."""
-        n1, n2 = self.l1_values.size, self.l2_values.size
-        return (np.repeat(self.l1_values, n2), np.tile(self.l2_values, n1),
-                self.stable.ravel(), self.theta.ravel())
 
 
 def stability_map(l1_range=(0.0, 4.0), l2_range=(0.0, 4.0), resolution=400):

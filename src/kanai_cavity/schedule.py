@@ -1,9 +1,9 @@
 """Mirror-motion schedules that damp the round-trip matrix adiabatically.
 
-Moving the two cavity planes according to
+Moving the two cavity planes (lengths in units of f) according to
 
-    l2(n) = f + (l2(0) - f) * exp(g(n))
-    l1(n) = f * (2 l2(n) - f (1 - cos theta)) / (2 l2(n) - 2 f)
+    l2(n) = 1 + (l2(0) - 1) * exp(g(n))
+    l1(n) = (2 l2(n) - (1 - cos theta)) / (2 l2(n) - 2)
 
 keeps the diagonal element a = cos(theta) of the round-trip matrix constant
 while scaling the off-diagonal elements exponentially:
@@ -21,9 +21,9 @@ import numpy as np
 
 from .core import FrictionProfile
 from .errors import InvalidScheduleError, ValidationError
-from .paraxial import (ResonatorGeometry, half_trip_matrix,
-                       right_mirror_elements, round_trip_elements,
-                       round_trip_matrix, stability)
+from .paraxial import (ResonatorGeometry, _half_trip_elements,
+                       half_trip_matrix, right_mirror_elements,
+                       round_trip_elements, round_trip_matrix, stability)
 
 
 class MirrorSchedule:
@@ -45,21 +45,17 @@ class MirrorSchedule:
             raise InvalidScheduleError(
                 "initial geometry must be strictly stable (|a| < 1); "
                 "got a = %r" % info.a)
-        if geom0.l2 <= geom0.f:
+        if geom0.l2 <= 1.0:
             raise InvalidScheduleError(
                 "schedule requires l2(0) > f (upper stability domain); "
-                "got l2(0) = %g, f = %g" % (geom0.l2, geom0.f))
+                "got l2(0) = %g, f = 1" % geom0.l2)
         self.geom0 = geom0
         self.friction = friction
         self.theta = info.theta
         self.a0 = info.a
-        a, b, c = round_trip_elements(geom0.s1, geom0.s2)
-        _, b2, c2 = right_mirror_elements(geom0.s1, geom0.s2)
-        f = geom0.f
-        self.b0 = b * f
-        self.c0 = c / f
-        self.right_b0 = b2 * f
-        self.right_c0 = c2 / f
+        _, self.b0, self.c0 = round_trip_elements(geom0.l1, geom0.l2)
+        _, self.right_b0, self.right_c0 = right_mirror_elements(geom0.l1,
+                                                                geom0.l2)
 
     def positions_at(self, n):
         """Closed-form mirror positions (l1(n), l2(n)); vectorized over n."""
@@ -67,15 +63,13 @@ class MirrorSchedule:
 
     def _positions(self, g):
         """Mirror positions (l1, l2) where the friction exponent is ``g``."""
-        f = self.geom0.f
-        l2 = f + (self.geom0.l2 - f) * np.exp(g)
-        l1 = f * (2.0 * l2 - f * (1.0 - self.a0)) / (2.0 * l2 - 2.0 * f)
+        l2 = 1.0 + (self.geom0.l2 - 1.0) * np.exp(g)
+        l1 = (2.0 * l2 - (1.0 - self.a0)) / (2.0 * l2 - 2.0)
         return l1, l2
 
     def geometry_at(self, n):
         """Geometry snapshot at a single time n."""
-        l1, l2 = self.positions_at(float(n))
-        return self.geom0.with_positions(l1, l2)
+        return ResonatorGeometry(*self.positions_at(float(n)))
 
     def _frozen_a_and_scale(self, g):
         """The constant element a (shaped like ``g``) and e^{g}."""
@@ -105,10 +99,6 @@ class MirrorSchedule:
         return half_trip_matrix(self.geometry_at(n))
 
     def half_elements_at(self, n):
-        """Half-trip elements (a, b, c, d); vectorized over n.  The products
-        of P(l2) Lens P(l1) are written out in the order ``half_matrix_at``
-        composes them, so the values carry its bits."""
-        l1, l2 = self.positions_at(n)
-        lens = -1.0 / self.geom0.f
-        a = 1.0 + l2 * lens
-        return a, a * l1 + l2, np.full(np.shape(a), lens), lens * l1 + 1.0
+        """Half-trip elements (a, b, c, d); vectorized over n, with the bits
+        of ``half_matrix_at``."""
+        return _half_trip_elements(*self.positions_at(n))

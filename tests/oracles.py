@@ -1,9 +1,13 @@
 """Independent oracles, and earlier kernels the package has replaced.
 
+* :func:`propagation` and :func:`thin_lens` are the elementary ray
+  matrices whose composition :func:`kanai_cavity.paraxial.half_trip_matrix`
+  writes out in closed form;
 * :func:`integrate_schedule_ode` integrates the mirror-velocity system whose
   closed-form solution :class:`kanai_cavity.schedule.MirrorSchedule` uses;
 * :func:`count_stable_domains` counts the connected stable domains of a
-  :class:`kanai_cavity.paraxial.StabilityMap` raster;
+  :class:`kanai_cavity.paraxial.StabilityMap` raster, and
+  :func:`raster_columns` flattens one into its CSV columns;
 * :func:`stepwise_products` is the running product of 2x2 step matrices
   that :func:`kanai_cavity.core.flow_products` formed before its prefix
   scan: block by block, with a scalar loop carrying the start from block
@@ -32,6 +36,7 @@ from scipy.integrate import solve_ivp
 
 from kanai_cavity.core import ClassicalSolution, _oscillator_steps, _times
 from kanai_cavity.errors import NumericalError, ValidationError
+from kanai_cavity.paraxial import AbcdMatrix
 from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity.wavesim import inner_product
 
@@ -39,13 +44,27 @@ from kanai_cavity.wavesim import inner_product
 SPEED_OF_LIGHT = 299792458.0
 
 
+def propagation(d):
+    """Free propagation over distance ``d >= 0``."""
+    if d is None or d < 0.0:
+        raise ValidationError("propagation distance must be >= 0")
+    return AbcdMatrix(1.0, float(d), 0.0, 1.0)
+
+
+def thin_lens(f):
+    """Thin lens of focal length ``f != 0``."""
+    if f is None or f == 0.0:
+        raise ValidationError("thin lens requires a nonzero focal length")
+    return AbcdMatrix(1.0, 0.0, -1.0 / float(f), 1.0)
+
+
 class SingularJacobianError(NumericalError):
     """Jacobian of the matrix elements w.r.t. mirror positions is singular."""
 
 
-def _schedule_rhs_factory(friction, f):
+def _schedule_rhs_factory(friction):
     def rhs(n, y):
-        s1, s2 = y[0] / f, y[1] / f
+        s1, s2 = y
         _, gdot = friction.evaluate(n)
         h = s1 + s2 - s1 * s2
         b = 2.0 * (1.0 - s1) * h
@@ -60,7 +79,7 @@ def _schedule_rhs_factory(friction, f):
                 "n=%g, l1/f=%g, l2/f=%g" % (n, s1, s2))
         ds2 = c * gdot / dc_ds2
         ds1 = (-b * gdot - db_ds2 * ds2) / db_ds1
-        return [ds1 * f, ds2 * f]
+        return [ds1, ds2]
     return rhs
 
 
@@ -75,7 +94,7 @@ def integrate_schedule_ode(geom0, friction, n_max, dn, rtol=1e-10, atol=1e-12):
         raise ValidationError("n_max and dn must be positive")
     MirrorSchedule(geom0, friction)  # validates the initial state
     n_values = np.arange(0.0, float(n_max) + 0.5 * dn, dn)
-    rhs = _schedule_rhs_factory(friction, geom0.f)
+    rhs = _schedule_rhs_factory(friction)
     result = solve_ivp(rhs, (0.0, float(n_values[-1])), [geom0.l1, geom0.l2],
                        method="DOP853", t_eval=n_values, rtol=rtol, atol=atol)
     if not result.success:
@@ -93,6 +112,13 @@ def count_stable_domains(raster):
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     _, count = ndimage.label(interior, structure=structure)
     return count
+
+
+def raster_columns(raster):
+    """Flat (l1/f, l2/f, stable, theta) columns, l1 outer, l2 inner."""
+    n1, n2 = raster.l1_values.size, raster.l2_values.size
+    return (np.repeat(raster.l1_values, n2), np.tile(raster.l2_values, n1),
+            raster.stable.ravel(), raster.theta.ravel())
 
 
 def stepwise_products(steps, start=(1.0, 0.0, 0.0, 1.0), block=1):
@@ -230,8 +256,7 @@ def mirror_speed_estimate(sched, f_meters, n):
     if f_meters <= 0.0:
         raise ValidationError("physical focal length must be > 0")
     l1, l2 = sched.positions_at(float(n))
-    scale = f_meters / sched.geom0.f
-    l1_m, l2_m, f_m = l1 * scale, l2 * scale, f_meters
+    l1_m, l2_m, f_m = l1 * f_meters, l2 * f_meters, f_meters
     _, gdot = sched.friction.evaluate(float(n))
     round_trip_time = (l1_m + l2_m) / SPEED_OF_LIGHT
     return abs(gdot) * (l2_m - f_m) / round_trip_time

@@ -26,7 +26,6 @@ from kanai_cavity.kanai import (
 )
 from kanai_cavity.paraxial import (
     ResonatorGeometry,
-    propagation,
     round_trip_elements,
     round_trip_matrix,
     stability,
@@ -49,7 +48,7 @@ from kanai_cavity.wavesim import (
     run_collapse,
     sample_beam,
 )
-from oracles import count_stable_domains, iterate_ray_difference
+from oracles import count_stable_domains, iterate_ray_difference, propagation
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
 MATRIX0 = round_trip_matrix(GEOM0)

@@ -22,6 +22,7 @@ import kanai_cavity
 from kanai_cavity import cli
 from kanai_cavity._formats import csv_text
 from kanai_cavity.paraxial import stability_map
+from oracles import raster_columns
 from textcheck import assert_equal_text
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -78,7 +79,7 @@ def test_stability_raster_matches_its_columns(tmp_path):
     assert cli.main(["stability", "--config", cfg, "--out", str(out)]) == 0
     raster = stability_map((0.5, 3.5), (0.0, 4.0), 101)
     expected = csv_text(["l1_over_f", "l2_over_f", "stable", "theta"],
-                        raster.columns())
+                        raster_columns(raster))
     assert_equal_text((out / "stability_raster.csv").read_bytes(),
                       expected.encode())
 

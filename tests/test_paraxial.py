@@ -5,21 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from kanai_cavity.core import FrictionProfile
 from kanai_cavity.errors import ContractViolationError, ValidationError
 from kanai_cavity.paraxial import (
     CANONICAL_TOL,
     AbcdMatrix,
     ResonatorGeometry,
     half_trip_matrix,
-    propagation,
     right_mirror_elements,
     round_trip_elements,
     round_trip_matrix,
     stability,
     stability_map,
-    thin_lens,
 )
-from oracles import count_stable_domains
+from kanai_cavity.schedule import MirrorSchedule
+from oracles import count_stable_domains, propagation, raster_columns, thin_lens
 
 REFERENCE_GEOMETRY = ResonatorGeometry(1.7, 1.5)
 
@@ -74,22 +74,11 @@ def test_reference_round_trip_elements():
 
 
 def test_zero_arm_geometry():
-    m = round_trip_matrix(ResonatorGeometry(0.0, 0.0, f=1.0))
+    m = round_trip_matrix(ResonatorGeometry(0.0, 0.0))
     assert_matrix_close(m, [[1.0, 0.0], [-2.0, 1.0]])
 
 
-def test_physical_focal_length_scaling():
-    geom = ResonatorGeometry(1.7 * 2.0, 1.5 * 2.0, 2.0)
-    assert geom.f == 2.0 and geom.s1 == pytest.approx(1.7)
-    m = round_trip_matrix(geom)
-    assert abs(m.a + 0.30) < 1e-12
-    assert abs(m.b + 0.91 * 2.0) < 1e-12
-    assert abs(m.c - 1.0 / 2.0) < 1e-12
-
-
 def test_geometry_validation():
-    with pytest.raises(ValidationError):
-        ResonatorGeometry(1.0, 1.0, f=0.0)
     with pytest.raises(ValidationError):
         ResonatorGeometry(-0.1, 1.0)
     with pytest.raises(ValidationError):
@@ -138,15 +127,78 @@ def test_half_trip_reference_values():
 def test_half_trips_compose_to_round_trip():
     geom = REFERENCE_GEOMETRY
     forward = half_trip_matrix(geom)
-    backward = propagation(geom.l1) @ thin_lens(geom.f) @ propagation(geom.l2)
+    backward = propagation(geom.l1) @ thin_lens(1.0) @ propagation(geom.l2)
     m = backward @ forward
     assert_matrix_close(m, entries(round_trip_matrix(geom)))
 
 
+def composed_half_trip(l1, l2):
+    """P(l2) Lens P(l1) as the product of the three elementary matrices."""
+    return propagation(l2) @ thin_lens(1.0) @ propagation(l1)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def matrix_bits(m):
+    return bits((m.a, m.b, m.c, m.d))
+
+
+def seeded_arm_pairs():
+    """Arm-length pairs for the bit comparisons: every pair of 0, 1 and the
+    README arms 1.7, 1.5, then 1,000 draws on [0, 4]^2 and 500 log-uniform
+    draws on [1e-6, 1e6]^2."""
+    rng = np.random.default_rng(26)
+    edges = (0.0, 1.0, 1.5, 1.7)
+    pairs = [(l1, l2) for l1 in edges for l2 in edges]
+    pairs += [tuple(p) for p in rng.uniform(0.0, 4.0, (1000, 2))]
+    pairs += [tuple(p) for p in 10.0 ** rng.uniform(-6.0, 6.0, (500, 2))]
+    return pairs
+
+
+def test_half_trip_formula_carries_the_composed_bits():
+    """The closed-form half trip and the round trips built from it have the
+    float64 bits of the composed elementary matrices; the right-mirror trip
+    forward @ backward is the round trip of the swapped cavity."""
+    for l1, l2 in seeded_arm_pairs():
+        forward = composed_half_trip(l1, l2)
+        backward = composed_half_trip(l2, l1)
+        got = half_trip_matrix(ResonatorGeometry(l1, l2))
+        assert matrix_bits(got) == matrix_bits(forward), (l1, l2)
+        got = round_trip_matrix(ResonatorGeometry(l1, l2))
+        assert matrix_bits(got) == matrix_bits(backward @ forward), (l1, l2)
+        got = round_trip_matrix(ResonatorGeometry(l2, l1))
+        assert matrix_bits(got) == matrix_bits(forward @ backward), (l1, l2)
+
+
+def test_schedule_half_elements_carry_the_composed_bits():
+    """Every trip's half-trip elements, evaluated at once, have the bits of the
+    composition at that trip's mirror positions, on every schedule that the
+    seeded pairs on [0, 4]^2 admit."""
+    n = np.arange(0.0, 400.0, 7.0)
+    checked = 0
+    for l1, l2 in seeded_arm_pairs():
+        geom = ResonatorGeometry(l1, l2)
+        if max(l1, l2) > 4.0:
+            continue
+        info = stability(round_trip_matrix(geom))
+        if not info.stable or info.marginal or l2 <= 1.0:
+            continue
+        sched = MirrorSchedule(geom, FrictionProfile.constant(2e-3))
+        elements = sched.half_elements_at(n)
+        positions = np.transpose(sched.positions_at(n))
+        for k, (l1_n, l2_n) in enumerate(positions):
+            assert bits(e[k] for e in elements) == matrix_bits(
+                composed_half_trip(l1_n, l2_n)), (l1, l2, n[k])
+        checked += 1
+    assert checked >= 100
+
+
 def test_right_mirror_round_trip():
     geom = REFERENCE_GEOMETRY
-    m_right = round_trip_matrix(geom, plane="right_mirror")
-    a, b, c = right_mirror_elements(geom.s1, geom.s2)
+    m_right = round_trip_matrix(ResonatorGeometry(geom.l2, geom.l1))
+    a, b, c = right_mirror_elements(geom.l1, geom.l2)
     assert abs(m_right.a - a) < 1e-12
     assert abs(m_right.b - b) < 1e-12
     assert abs(m_right.c - c) < 1e-12
@@ -221,7 +273,7 @@ def test_stability_map_validation():
 
 def test_stability_map_rows_order():
     res = stability_map((0.0, 1.0), (0.0, 1.0), 2)
-    columns = res.columns()
+    columns = raster_columns(res)
     l1, l2 = columns[:2]
     assert [len(col) for col in columns] == [4, 4, 4, 4]
     assert (l1[0], l2[0]) == (0.0, 0.0)

@@ -243,8 +243,7 @@ def random_schedule(rng, seed, n_max):
     theta = rng.uniform(0.2, 3.0)
     h = (1.0 - math.cos(theta)) / 2.0
     s2 = rng.uniform(1.05, 3.0)
-    f = rng.choice((1.0, 0.37, 12.5))
-    geom = ResonatorGeometry(f * (s2 - h) / (s2 - 1.0), f * s2, f)
+    geom = ResonatorGeometry((s2 - h) / (s2 - 1.0), s2)
     if seed % 3 == 0:
         step = float(rng.integers(1, 60))
         count = max(2, int(math.ceil(n_max / step)) + 2)
