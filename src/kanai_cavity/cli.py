@@ -465,16 +465,10 @@ def main(argv=None):
             if filename.endswith(".json") and "json" not in formats:
                 continue
             atomic_write_text(os.path.join(out_dir, filename), text)
-    except ValidationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (NumericalError, OverflowError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
-    except KanaiCavityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KanaiCavityError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -390,7 +390,10 @@ class ClassicalSolution:
                 "n = %s outside integrated range [0, %g]; re-integrate with a "
                 "larger n_max" % (np.max(arr), self.n_max))
 
-    def _eval(self, n, index):
+    def _eval(self, n):
+        """``(u2, u1, u2', u1')`` at ``n``: the entries (p11, p12, p21, p22)
+        of the flow from 0 to n, in the row layout of
+        :func:`oscillator_flow`."""
         arr = np.asarray(n, dtype=float)
         self._check_domain(arr)
         if self.kind == "closed_form":
@@ -398,50 +401,42 @@ class ClassicalSolution:
             env = np.exp(-0.5 * gam * arr)
             s = np.sin(big * arr)
             c = np.cos(big * arr)
-            if index == 0:
-                out = env * s / big
-            elif index == 1:
-                out = env * (c - (0.5 * gam / big) * s)
-            elif index == 2:
-                out = env * (c + (0.5 * gam / big) * s)
-            else:
-                out = -(self.params.omega ** 2 / big) * env * s
+            out = (env * (c + (0.5 * gam / big) * s), env * s / big,
+                   -(self.params.omega ** 2 / big) * env * s,
+                   env * (c - (0.5 * gam / big) * s))
         else:
             flat = np.atleast_1d(arr)
             k = np.clip(np.searchsorted(self._t, flat, side="right") - 1,
                         0, self._t.size - 1)
             e = _oscillator_steps(self.params.friction, self.params.omega ** 2,
                                   self._t[k], flat)
-            # Phi maps (x, x') at 0 to (x, x') at n: u1, which starts at
-            # (0, 1), is its second column and u2 its first.
-            row, col = index % 2, 1 - index // 2
-            out = (e[2 * row] * self._phi[k, col]
-                   + e[2 * row + 1] * self._phi[k, 2 + col])
+            out = _times(e, self._phi.T[:, k])
             if arr.ndim == 0:
-                out = out[0]
+                out = tuple(v[0] for v in out)
         if np.isscalar(n) or (isinstance(n, np.ndarray) and n.ndim == 0):
-            return float(out)
-        return np.asarray(out)
+            return tuple(float(v) for v in out)
+        return tuple(np.asarray(v) for v in out)
 
     def u1(self, n):
         """Sine-like solution: u1(0) = 0, u1'(0) = 1."""
-        return self._eval(n, 0)
+        return self._eval(n)[1]
 
     def du1(self, n):
         """Derivative of u1."""
-        return self._eval(n, 1)
+        return self._eval(n)[3]
 
     def u2(self, n):
         """Cosine-like solution: u2(0) = 1, u2'(0) = 0."""
-        return self._eval(n, 2)
+        return self._eval(n)[0]
 
     def du2(self, n):
         """Derivative of u2."""
-        return self._eval(n, 3)
+        return self._eval(n)[2]
 
     def wronskian(self, n):
         """W(n) = u1' u2 - u2' u1; identically exp(-g(n))."""
-        return self.du1(n) * self.u2(n) - self.du2(n) * self.u1(n)
+        u2, u1, du2, du1 = self._eval(n)
+        return du1 * u2 - du2 * u1
 
 
 def fundamental_solutions(params, method="auto", n_max=None):

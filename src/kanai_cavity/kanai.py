@@ -139,7 +139,7 @@ def kanai_propagate(packet, sol, params, x, n):
     """
     x, dx = _uniform_grid(x)
     n = float(n)
-    u1, u2, du2 = (float(v) for v in (sol.u1(n), sol.u2(n), sol.du2(n)))
+    u2, u1, du2, _ = sol._eval(n)
     w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
     return _propagate(packet, params, (x.size, float(x[0]), dx,
                                        float(x[x.size // 2])),
@@ -197,8 +197,8 @@ def moments(packet, sol, params, n):
     scalar with ``pow``, and the two round differently on a few inputs.
     """
     n = np.asarray(n, dtype=float)
-    x_mean, delta_x = _moments(packet, params, np.asarray(sol.u1(n)),
-                               np.asarray(sol.u2(n)))
+    u2, u1 = sol._eval(n)[:2]
+    x_mean, delta_x = _moments(packet, params, np.asarray(u1), np.asarray(u2))
     if n.ndim == 0:
         return float(x_mean), float(delta_x)
     return x_mean, delta_x
@@ -274,7 +274,7 @@ def crosscheck_engines(sched, wavelength, n_max, center=0.0, tilt=0.0,
     # The classical side over every trip at once; each trip reads its
     # values, which equal the scalar evaluations bit for bit.
     trips = np.arange(n_max + 1, dtype=float)
-    u1, u2, du2 = sol.u1(trips), sol.u2(trips), sol.du2(trips)
+    u2, u1, du2, _ = sol._eval(trips)
     w_ronskian = np.exp(-sched.friction.evaluate(trips)[0])
 
     field = sample_beam(beam, wavelength, grid_n, window_factor=window_factor)

@@ -448,7 +448,7 @@ def _chirped(raw, beta, scale=1.0, signed=True):
     return out
 
 
-def _diffract(field, m, check_sampling=True):
+def _diffract(field, m):
     """Pre-chirped transform of the diffraction integral of ``m`` and the
     output spacing; without the post-chirp (modulus one) and the amplitude
     (a constant), it carries the output intensity up to a constant factor.
@@ -461,8 +461,7 @@ def _diffract(field, m, check_sampling=True):
         raise NearFocalPlaneError(
             "|b| = %g <= %g: reference plane too close to a focal plane "
             "for the diffraction kernel" % (abs(b_el), EPSILON_B))
-    if check_sampling:
-        _check_chirp_sampling(field, a_el, b_el)
+    _check_chirp_sampling(field, a_el, b_el)
     lam, n, dx_in = field.wavelength, field.n_samples, field.dx
     beta = -math.pi * a_el * dx_in * dx_in / (lam * b_el)
     if field._rate is None:
@@ -477,7 +476,7 @@ def _diffract(field, m, check_sampling=True):
     return spectrum, lam * abs(b_el) / (n * dx_in)
 
 
-def fresnel_round_trip(field, m, check_sampling=True):
+def fresnel_round_trip(field, m):
     """Apply the generalized diffraction integral of a ray matrix.
 
     Implements
@@ -496,7 +495,7 @@ def fresnel_round_trip(field, m, check_sampling=True):
     singular at b = 0) and :class:`SamplingError` when the chirp would alias
     or is not finite.
     """
-    spectrum, dx_out = _diffract(field, m, check_sampling)
+    spectrum, dx_out = _diffract(field, m)
     lam, n = field.wavelength, field.n_samples
     scale = (-1.0) ** (n // 2) * cmath.sqrt(1j / (lam * m.b)) * field.dx
     beta = -math.pi * m.d * dx_out * dx_out / (lam * m.b)
@@ -615,7 +614,7 @@ def _mobius(p11, p12, p21, p22, q0):
     return (p11 * q0 + p12) / denom
 
 
-def gaussian_q_trace(sched, q0, n_max, wavelength=DEFAULT_WAVELENGTH):
+def gaussian_q_trace(sched, q0, n_max, *, wavelength):
     """Track the complex beam parameter on both mirrors along a schedule.
 
     The left-mirror q starts at ``q0``, the right-mirror q at its half-trip
@@ -706,7 +705,8 @@ def run_collapse(sched, initial, n_max, engine="fresnel", *,
     if not isinstance(initial, GaussianBeam):
         raise ValidationError("the initial state must be a GaussianBeam")
     if engine == "gaussian_q":
-        qtrace = gaussian_q_trace(sched, initial.q, n_max, wavelength)
+        qtrace = gaussian_q_trace(sched, initial.q, n_max,
+                                  wavelength=wavelength)
         centroid = _centroid_ray(sched, initial, n_max)
         return CollapseTrace(qtrace.n, qtrace.w1, qtrace.w2,
                              np.ones(n_max + 1), centroid, engine)

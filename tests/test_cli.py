@@ -19,7 +19,7 @@ import pytest
 from scipy import ndimage
 
 import kanai_cavity
-from kanai_cavity import cli
+from kanai_cavity import cli, core
 from kanai_cavity._formats import csv_text
 from kanai_cavity.paraxial import stability_map
 from oracles import raster_columns
@@ -141,12 +141,12 @@ def test_schedule_evaluates_friction_once(tmp_path, monkeypatch):
     """g(n) is evaluated once on the sample times and shared by the
     positions and the elements."""
     calls = []
-    evaluate = kanai_cavity.FrictionProfile.evaluate
+    evaluate = core.FrictionProfile.evaluate
 
     def counted(self, n):
         calls.append(np.size(n))
         return evaluate(self, n)
-    monkeypatch.setattr(kanai_cavity.FrictionProfile, "evaluate", counted)
+    monkeypatch.setattr(core.FrictionProfile, "evaluate", counted)
     cfg = write_config(tmp_path, run={"n_max": 300, "dn": 1})
     assert cli.main(["schedule", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0

@@ -503,6 +503,76 @@ def test_ode_branch_matches_the_per_node_grid_at_integer_trips(case):
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * scale
 
 
+#: Trips at which the fundamental solutions are pinned: 0, two trips off
+#: every grid, and the midpoints of four steps of the ODE branch's
+#: 1/64-trip grid on OFF_GRID_TABLE (the first, the short ones before the
+#: node 3.3 and after the node 12.45, and the last).
+PIN_TRIPS = (0.0, 0.37, 12.3, 0.0078125, 3.2984375, 12.4515625, 59.9921875)
+
+#: float.hex of u1, du1, u2, du2 and the Wronskian at PIN_TRIPS.
+PINNED_SOLUTION_BITS = {
+    "closed_form": {
+        "u1": ("0x0.0p+0", "0x1.5d21964f01560p-2", "-0x1.ddf1eeae8ff94p-2",
+               "0x1.fffacc4e4b26ap-8", "-0x1.a62d7fe93d060p-5",
+               "-0x1.0964bd15e7039p-1", "-0x1.23412d6684d5dp-2"),
+        "du1": ("0x1.0000000000000p+0", "0x1.896eb0641c789p-1",
+                "-0x1.e1af1f22da863p-2", "0x1.fff0e8051cae6p-1",
+                "0x1.fcc4b0c2ecb38p-1", "-0x1.a5d5b3b409124p-3",
+                "0x1.9f2491ece0264p-1"),
+        "u2": ("0x1.0000000000000p+0", "0x1.899b60b8e2fffp-1",
+               "-0x1.e22979be2a072p-2", "0x1.fff1ee275009ap-1",
+               "0x1.fcbdef857c6cep-1", "-0x1.a6e5770504e01p-3",
+               "0x1.9eff4a1837610p-1"),
+        "du2": ("-0x0.0p+0", "-0x1.33046bd9017cdp+0", "0x1.a44aff3563343p+0",
+                "-0x1.c238dfadb2f1dp-6", "0x1.7340a873782ccp-3",
+                "0x1.d2c2c8540d26cp+0", "0x1.001f3d6fe0087p+0"),
+        "wronskian": ("0x1.0000000000000p+0", "0x1.ffcf83281c066p-1",
+                      "0x1.f9bdb0562bf4cp-1", "0x1.fffef9db65eccp-1",
+                      "0x1.fe5061223299dp-1", "0x1.f9aa114b189cfp-1",
+                      "0x1.e22fece18c891p-1"),
+    },
+    "ode": {
+        "u1": ("0x0.0p+0", "0x1.5cdd9f337209bp-2", "-0x1.e13a614145694p-2",
+               "0x1.fff9ca102fa1bp-8", "-0x1.63f39db371185p-5",
+               "-0x1.068271786f219p-1", "-0x1.1c31aeac0a23ap-3"),
+        "du1": ("0x1.0000000000000p+0", "0x1.889236574c96bp-1",
+                "-0x1.a6c5aec1e0647p-2", "0x1.ffeeddb267886p-1",
+                "0x1.fb83d00029db1p-1", "-0x1.2e69da9b617c6p-3",
+                "0x1.9d56b0b1609edp-1"),
+        "u2": ("0x1.0000000000000p+0", "0x1.891707f3be207p-1",
+               "-0x1.a8a107a093bdbp-2", "0x1.fff1dcddf6abfp-1",
+               "0x1.fb706d9092d66p-1", "-0x1.327fff880b795p-3",
+               "0x1.9cf8b9dc1a04ep-1"),
+        "du2": ("0x0.0p+0", "-0x1.34417e59c49dfp+0", "0x1.a949152747df3p+0",
+                "-0x1.c461bb2ac3000p-6", "0x1.39b631bc774ffp-3",
+                "0x1.cfea2b7916cb5p+0", "0x1.f45fb68555863p-2"),
+        "wronskian": ("0x1.0000000000000p+0", "0x1.ff6fd55fb36dep-1",
+                      "0x1.e761d17aefc5ep-1", "0x1.fffd00cd61286p-1",
+                      "0x1.fa66dc48dc44ep-1", "0x1.e70698e607cb0p-1",
+                      "0x1.701c42db478d4p-1"),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "ode"])
+def test_fundamental_solutions_keep_their_bits(kind):
+    """u1, u1', u2, u2' and W carry pinned bits, for scalar and array n,
+    on the closed form (theta = 1.8755, gamma = 1e-3) and on the ODE
+    branch over OFF_GRID_TABLE, where every pinned trip past 0 ends in a
+    partial step of nonzero length."""
+    sol = {"closed_form": lambda: fundamental_solutions(
+               OscillatorParams(1.8755, FrictionProfile.constant(1e-3))),
+           "ode": lambda: fundamental_solutions(
+               OscillatorParams(1.88, OFF_GRID_TABLE), method="ode",
+               n_max=60.0)}[kind]()
+    assert sol.kind == kind
+    for fn, want in PINNED_SOLUTION_BITS[kind].items():
+        scalars = [getattr(sol, fn)(n).hex() for n in PIN_TRIPS]
+        array = [float(v).hex() for v in getattr(sol, fn)(np.array(PIN_TRIPS))]
+        assert scalars == list(want), fn
+        assert array == list(want), fn
+
+
 def _table(n):
     """A table through the nodes ``n`` with g rising 0.01 per trip."""
     return FrictionProfile.tabulated(n, 0.01 * np.asarray(n, dtype=float))

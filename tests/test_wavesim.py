@@ -162,7 +162,7 @@ def test_free_propagation_matches_analytic_gaussian():
     for distance in (0.05, 0.37, 1.0):
         free = AbcdMatrix(1.0, distance, 0.0, 1.0)
         field = eigen_field()
-        out = fresnel_round_trip(field, free, check_sampling=False)
+        out = fresnel_round_trip(field, free)
         ref = sample_beam(GaussianBeam(EIGENBEAM.q + distance), WAVELENGTH,
                           4096, dx=out.dx)
         assert aligned_l2(ref, out) < 1e-8
@@ -734,15 +734,19 @@ def oracle_field(n_samples, displaced, b_el):
 
 
 @pytest.mark.parametrize("n_samples", ORACLE_N)
-def test_fresnel_round_trip_matches_the_first_kernel(n_samples):
+def test_fresnel_round_trip_matches_the_first_kernel(n_samples,
+                                                     monkeypatch):
     """Five chained trips against the reference kernel, b < 0 and b > 0,
     centred and displaced; relative L2 per trip <= 1e-12 (measured: at
-    most 3.8e-15 over all cases)."""
+    most 3.8e-15 over all cases).  The kernels are compared on grids
+    the sampling guard refuses at N = 2 and 4, so it is switched off."""
+    monkeypatch.setattr(wavesim, "_check_chirp_sampling",
+                        lambda field, a_el, b_el: None)
     for m in ORACLE_MATRICES:
         for displaced in (False, True):
             field = ref = oracle_field(n_samples, displaced, m.b)
             for trip in range(5):
-                field = fresnel_round_trip(field, m, check_sampling=False)
+                field = fresnel_round_trip(field, m)
                 ref = reference_fresnel_round_trip(ref, m)
                 case = (m.b, displaced, trip)
                 assert field.dx == pytest.approx(ref.dx, rel=1e-15), case
@@ -787,7 +791,7 @@ def test_split_step_trip_is_the_fresnel_trip(l_over_f):
     for m in split_matrices(l_over_f):
         for n_samples in split_n(l_over_f):
             for field in split_fields(m, n_samples):
-                ref = fresnel_round_trip(field, m, check_sampling=False)
+                ref = fresnel_round_trip(field, m)
                 assert ref.dx == pytest.approx(field.dx, rel=1e-14)
                 out = split_step_round_trip(field, m)
                 assert aligned_l2(ref, out) <= 1e-12, (m.b, n_samples)
