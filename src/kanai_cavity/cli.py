@@ -37,8 +37,8 @@ from .core import FrictionProfile
 from .errors import (KanaiCavityError, NumericalError, ValidationError)
 from .kanai import crosscheck_engines
 from .paraxial import ResonatorGeometry, round_trip_matrix, stability_map
-from .raysim import (RayState, fit_damped_oscillation, fit_envelope_rate,
-                     iterate_ray, lissajous, pattern_radius)
+from .raysim import (fit_damped_oscillation, fit_envelope_rate, iterate_ray,
+                     lissajous, pattern_radius)
 from .schedule import MirrorSchedule
 from .wavesim import (DEFAULT_GRID_N, DEFAULT_WAVELENGTH,
                       DEFAULT_WINDOW_FACTOR, eigenmode_beam, GaussianBeam,
@@ -288,7 +288,7 @@ def cmd_ray(cfg):
     xp0 = _number(ray, "ray", "xp0", default=0.0)
     if run["n_max"] < 1:
         _fail("run.n_max must be >= 1 for the ray command")
-    trace = iterate_ray(sched, RayState(x0, xp0), run["n_max"])
+    trace = iterate_ray(sched, (x0, xp0), run["n_max"])
     trace_csv = _data_csv("ray_trace.csv", ["n", "x", "xp"],
                           [trace.n, trace.x, trace.xp])
     fit = fit_damped_oscillation(trace.n, trace.x)
@@ -313,7 +313,7 @@ def cmd_lissajous(cfg):
     trace_csv = _data_csv(
         "lissajous_trace.csv", ["n", "x", "xp", "y", "yp"],
         [trace.n, trace.x, trace.xp, trace.y, trace.yp])
-    radius = pattern_radius(trace)
+    radius = pattern_radius(sched, trace)
     slope = fit_envelope_rate(trace.n, radius)
     period = fit_damped_oscillation(trace.n, trace.x)["period"]
     return {

@@ -108,7 +108,7 @@ class FrictionProfile:
     def from_csv(cls, path):
         """Load a tabulated profile from a two-column CSV with header ``n,g``."""
         try:
-            with open(path, "r", newline="", encoding="utf-8") as handle:
+            with open(path, "r", newline="", encoding="utf-8-sig") as handle:
                 header, *rows = list(csv.reader(handle)) or [None]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationError("cannot parse friction CSV %s: %s" % (path, exc))
@@ -128,7 +128,7 @@ class FrictionProfile:
     def evaluate(self, n):
         """Return ``(g(n), gdot(n))``; vectorized over ``n``.
 
-        Raises :class:`DomainError` for n < 0 or outside a tabulated range.
+        Raises :class:`DomainError` outside 0 <= n < inf or a tabulated range.
         """
         arr = np.asarray(n, dtype=float)
         scalar = np.isscalar(n) or (isinstance(n, np.ndarray) and n.ndim == 0)
@@ -148,9 +148,12 @@ class FrictionProfile:
         return g, gdot
 
     def _check_domain(self, arr):
-        if (arr < 0.0).any():
+        # each comparison fails for NaN
+        if not (arr >= 0.0).all():
             raise DomainError("friction profiles are defined for n >= 0")
-        if self.kind == "tabulated" and (arr > self.n_max * (1.0 + 1e-12)).any():
+        if self.kind == "constant" and not (arr < math.inf).all():
+            raise DomainError("friction profiles are defined for finite n")
+        if self.kind == "tabulated" and not (arr <= self.n_max * (1.0 + 1e-12)).all():
             raise DomainError(
                 "n = %s outside tabulated friction range [0, %g]"
                 % (np.max(arr), self.n_max))
@@ -212,41 +215,6 @@ def _pchip_values(c0, c1, c2, c3, s):
     ss = s * s
     return (0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s),
             0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * ss)
-
-
-class OscillatorParams:
-    """Damped-oscillator parameters: angular frequency plus a friction profile.
-
-    ``omega`` is the angular frequency per round trip (it equals the cavity
-    rotation angle theta under the parameter mapping).  For constant friction
-    the reduced frequency ``Omega = sqrt(omega**2 - gamma**2/4)`` governs the
-    underdamped closed forms; it requires ``gamma < 2 * omega``.
-    """
-
-    def __init__(self, omega, friction):
-        omega = float(omega)
-        if not math.isfinite(omega) or omega <= 0.0:
-            raise ValidationError("omega must be finite and > 0, got %r" % omega)
-        if not isinstance(friction, FrictionProfile):
-            raise ValidationError("friction must be a FrictionProfile")
-        self.omega = omega
-        self.friction = friction
-
-    @property
-    def reduced_frequency(self):
-        """Omega = sqrt(omega^2 - gamma^2/4) for constant underdamped friction."""
-        if self.friction.kind != "constant":
-            raise ValidationError(
-                "reduced frequency is defined only for constant friction")
-        gamma = self.friction.gamma
-        if gamma >= 2.0 * self.omega:
-            raise UnsupportedRegimeError(
-                "gamma = %g >= 2*omega = %g: not underdamped; use the "
-                "numerical-ODE branch" % (gamma, 2.0 * self.omega))
-        return math.sqrt(self.omega ** 2 - gamma ** 2 / 4.0)
-
-    def __repr__(self):
-        return "OscillatorParams(omega=%g, friction=%r)" % (self.omega, self.friction)
 
 
 def magnus4_steps(start, h, generator):
@@ -365,27 +333,32 @@ def oscillator_flow(friction, omega_sq, n_max, halvings=0, trips=False):
 class ClassicalSolution:
     """Fundamental solutions u1, u2 of the damped oscillator and derivatives.
 
-    ``kind`` is ``"closed_form"`` (constant underdamped friction) or
-    ``"ode"`` (Magnus integration, any profile).  All evaluators are
-    vectorized over ``n``; the ODE branch is restricted to the integrated
-    window ``[0, n_max]``.  It stores the solutions at every step boundary
-    and reaches any other ``n`` by one partial step from the boundary below.
+    ``omega`` and ``friction`` are the oscillator's inputs.  ``kind`` is
+    ``"closed_form"`` (constant underdamped friction) or ``"ode"`` (Magnus
+    integration, any profile).  All evaluators are vectorized over ``n``;
+    the ODE branch is restricted to the integrated window ``[0, n_max]``.
+    It stores the solutions at every step boundary and reaches any other
+    ``n`` by one partial step from the boundary below.
     """
 
-    def __init__(self, params, kind, n_max=math.inf, flow=None):
-        self.params = params
+    def __init__(self, omega, friction, kind, n_max=math.inf, flow=None):
+        self.omega = omega
+        self.friction = friction
         self.kind = kind
         self.n_max = n_max
         if kind == "closed_form":
-            self._gamma = params.friction.gamma
-            self._big_omega = params.reduced_frequency
+            # the reduced frequency sqrt(omega^2 - gamma^2/4)
+            self._big_omega = math.sqrt(omega ** 2 - friction.gamma ** 2 / 4.0)
         else:
             self._t, self._phi = flow
 
     def _check_domain(self, arr):
-        if np.any(arr < 0.0):
+        # each comparison fails for NaN
+        if not (arr >= 0.0).all():
             raise DomainError("fundamental solutions are defined for n >= 0")
-        if np.any(arr > self.n_max * (1.0 + 1e-12)):
+        if self.kind == "closed_form" and not (arr < math.inf).all():
+            raise DomainError("fundamental solutions are defined for finite n")
+        if not (arr <= self.n_max * (1.0 + 1e-12)).all():
             raise DomainError(
                 "n = %s outside integrated range [0, %g]; re-integrate with a "
                 "larger n_max" % (np.max(arr), self.n_max))
@@ -397,19 +370,19 @@ class ClassicalSolution:
         arr = np.asarray(n, dtype=float)
         self._check_domain(arr)
         if self.kind == "closed_form":
-            gam, big = self._gamma, self._big_omega
+            gam, big = self.friction.gamma, self._big_omega
             env = np.exp(-0.5 * gam * arr)
             s = np.sin(big * arr)
             c = np.cos(big * arr)
             out = (env * (c + (0.5 * gam / big) * s), env * s / big,
-                   -(self.params.omega ** 2 / big) * env * s,
+                   -(self.omega ** 2 / big) * env * s,
                    env * (c - (0.5 * gam / big) * s))
         else:
             flat = np.atleast_1d(arr)
             k = np.clip(np.searchsorted(self._t, flat, side="right") - 1,
                         0, self._t.size - 1)
-            e = _oscillator_steps(self.params.friction, self.params.omega ** 2,
-                                  self._t[k], flat)
+            e = _oscillator_steps(self.friction, self.omega ** 2, self._t[k],
+                                  flat)
             out = _times(e, self._phi.T[:, k])
             if arr.ndim == 0:
                 out = tuple(v[0] for v in out)
@@ -439,12 +412,14 @@ class ClassicalSolution:
         return du1 * u2 - du2 * u1
 
 
-def fundamental_solutions(params, method="auto", n_max=None):
+def fundamental_solutions(omega, friction, method="auto", n_max=None):
     """Build the fundamental solutions u1, u2 for the given oscillator.
 
     Parameters
     ----------
-    params : OscillatorParams
+    omega : float
+        Angular frequency per round trip, > 0 (theta under the mapping).
+    friction : FrictionProfile
     method : {"auto", "closed_form", "ode"}
         "closed_form" requires constant friction with gamma < 2*omega and
         returns exact expressions; "ode" integrates the equation of motion
@@ -461,37 +436,49 @@ def fundamental_solutions(params, method="auto", n_max=None):
 
     Raises
     ------
+    UnsupportedRegimeError
+        If the closed form is asked for with gamma >= 2*omega.
     NumericalError
         If the ODE branch has not converged at 512 steps per trip.
     """
+    omega = float(omega)
+    if not math.isfinite(omega) or omega <= 0.0:
+        raise ValidationError("omega must be finite and > 0, got %r" % omega)
+    if not isinstance(friction, FrictionProfile):
+        raise ValidationError("friction must be a FrictionProfile")
     if method == "auto":
-        closed = (params.friction.kind == "constant"
-                  and params.friction.gamma < 2.0 * params.omega)
+        closed = friction.kind == "constant" and friction.gamma < 2.0 * omega
         method = "closed_form" if closed else "ode"
     if method == "closed_form":
-        return ClassicalSolution(params, "closed_form")
+        if friction.kind != "constant":
+            raise ValidationError(
+                "reduced frequency is defined only for constant friction")
+        if friction.gamma >= 2.0 * omega:
+            raise UnsupportedRegimeError(
+                "gamma = %g >= 2*omega = %g: not underdamped; use the "
+                "numerical-ODE branch" % (friction.gamma, 2.0 * omega))
+        return ClassicalSolution(omega, friction, "closed_form")
     if method != "ode":
         raise ValidationError("unknown method %r" % (method,))
 
-    if n_max is None and not math.isfinite(params.friction.n_max):
+    if n_max is None and not math.isfinite(friction.n_max):
         raise ValidationError(
             "n_max is required for the ODE branch with constant friction")
-    n_max = float(params.friction.n_max if n_max is None else n_max)
+    n_max = float(friction.n_max if n_max is None else n_max)
     if n_max <= 0.0:
         raise ValidationError("n_max must be positive")
 
     # In a stiff flow a step that is too long overflows cosh; halving
     # discards such a level, so its floating-point warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = oscillator_flow(params.friction, params.omega ** 2, n_max)
+        coarse = oscillator_flow(friction, omega ** 2, n_max)
         for halving in range(1, _MAX_HALVINGS + 1):
-            t, phi = oscillator_flow(params.friction, params.omega ** 2,
-                                     n_max, halving)
+            t, phi = oscillator_flow(friction, omega ** 2, n_max, halving)
             # the coarse step ends are among the fine ones
             change = np.max(np.abs(phi[np.searchsorted(t, coarse[0])]
                                    - coarse[1]))
             if change <= _FLOW_TOL * np.max(np.abs(phi)):
-                return ClassicalSolution(params, "ode", n_max=n_max,
+                return ClassicalSolution(omega, friction, "ode", n_max=n_max,
                                          flow=(t, phi))
             coarse = t, phi
     raise NumericalError(

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import OscillatorParams, fundamental_solutions
+from .core import fundamental_solutions
 from .errors import (MappingError, NearCausticError, NumericalError,
                      ValidationError)
 from .paraxial import AbcdMatrix, round_trip_matrix, stability
@@ -140,7 +140,7 @@ def kanai_propagate(packet, sol, params, x, n):
     x, dx = _uniform_grid(x)
     n = float(n)
     u2, u1, du2, _ = sol._eval(n)
-    w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
+    w_ronskian = float(np.exp(-sol.friction.evaluate(n)[0]))
     return _propagate(packet, params, (x.size, float(x[0]), dx,
                                        float(x[x.size // 2])),
                       n, u1, u2, du2, w_ronskian)
@@ -267,9 +267,8 @@ def crosscheck_engines(sched, wavelength, n_max, center=0.0, tilt=0.0,
                                 center=center, momentum=-tilt)
     # At n_max = 0 only n = 0 is read, but an integrated window must be
     # positive and inside a tabulated friction range.
-    sol = fundamental_solutions(
-        OscillatorParams(params.omega, sched.friction),
-        n_max=n_max or min(1.0, sched.friction.n_max))
+    sol = fundamental_solutions(params.omega, sched.friction,
+                                n_max=n_max or min(1.0, sched.friction.n_max))
 
     # The classical side over every trip at once; each trip reads its
     # values, which equal the scalar evaluations bit for bit.

@@ -27,19 +27,6 @@ from .schedule import MirrorSchedule
 _PEAK_FLOOR = 1e-12
 
 
-class RayState:
-    """Transverse ray state: displacement x and paraxial angle x'."""
-
-    __slots__ = ("x", "xp")
-
-    def __init__(self, x, xp):
-        self.x = float(x)
-        self.xp = float(xp)
-
-    def __repr__(self):
-        return "RayState(x=%r, xp=%r)" % (self.x, self.xp)
-
-
 class RayTrace:
     """Per-round-trip samples of one (or two) transverse ray components.
 
@@ -47,13 +34,8 @@ class RayTrace:
     axis and, when produced by :func:`lissajous`, ``y``/``yp`` the second.
     """
 
-    def __init__(self, n, x, xp, y=None, yp=None, sched=None):
-        self.n = np.asarray(n)
-        self.x = np.asarray(x, dtype=float)
-        self.xp = np.asarray(xp, dtype=float)
-        self.y = None if y is None else np.asarray(y, dtype=float)
-        self.yp = None if yp is None else np.asarray(yp, dtype=float)
-        self.sched = sched
+    def __init__(self, n, x, xp, y=None, yp=None):
+        self.n, self.x, self.xp, self.y, self.yp = n, x, xp, y, yp
 
 
 def _flow(sched, start, n_max):
@@ -74,13 +56,14 @@ def _flow(sched, start, n_max):
 def iterate_ray(sched, init, n_max):
     """Iterate a ray for ``n_max`` round trips; returns a :class:`RayTrace`.
 
-    The matrix for trip k -> k+1 is frozen at the mirror positions at the
-    start of that trip (time k); in the adiabatic regime gamma << 1 the
-    intra-trip mirror motion is negligible.
+    ``init`` is the start (x0, xp0), displacement and angle.  The matrix
+    for trip k -> k+1 is frozen at the mirror positions at the start of
+    that trip (time k); in the adiabatic regime gamma << 1 the intra-trip
+    mirror motion is negligible.
     """
-    flow = _flow(sched, (init.x, 0.0, init.xp, 0.0), n_max)
-    return RayTrace(np.arange(flow.shape[0]), flow[:, 0], flow[:, 2],
-                    sched=sched)
+    x0, xp0 = map(float, init)
+    flow = _flow(sched, (x0, 0.0, xp0, 0.0), n_max)
+    return RayTrace(np.arange(flow.shape[0]), flow[:, 0], flow[:, 2])
 
 
 def lissajous(sched, init2d, n_max):
@@ -93,11 +76,11 @@ def lissajous(sched, init2d, n_max):
     x0, xp0, y0, yp0 = init2d
     flow = _flow(sched, (x0, y0, xp0, yp0), n_max)
     return RayTrace(np.arange(flow.shape[0]), flow[:, 0], flow[:, 2],
-                    flow[:, 1], flow[:, 3], sched=sched)
+                    flow[:, 1], flow[:, 3])
 
 
-def pattern_radius(trace):
-    """Largest instantaneous orbit radius of a two-axis trace, per trip.
+def pattern_radius(sched, trace):
+    """Per-trip largest orbit radius of a :func:`lissajous` trace on ``sched``.
 
     Under the frozen matrix of trip n the point (x, b(n) x'/sin(theta))
     moves on a circle in each transverse plane, so the 2-d spot traces the
@@ -112,9 +95,6 @@ def pattern_radius(trace):
     """
     if trace.y is None:
         raise ValidationError("pattern radius needs a two-axis trace")
-    sched = trace.sched
-    if sched is None:
-        raise ValidationError("trace carries no schedule reference")
     sin_theta = math.sin(sched.theta)
     _, b, _ = sched.elements_at(np.asarray(trace.n, dtype=float))
     zx = trace.x + 1j * b * trace.xp / sin_theta

@@ -29,7 +29,7 @@ from .errors import (BeamParameterError, NearFocalPlaneError,
                      NearInstabilityError, NumericalError, ResolutionError,
                      SamplingError, ValidationError)
 from .paraxial import AbcdMatrix, stability
-from .raysim import RayState, iterate_ray
+from .raysim import iterate_ray
 
 #: Fraction of f below which |b| counts as "at a focal plane" for the kernel.
 EPSILON_B = 1e-9
@@ -592,17 +592,6 @@ def beam_round_trip(q, m):
     return (m.a * q + m.b) / denom
 
 
-class GaussianQTrace:
-    """Beam parameters and spot sizes on both mirrors, per round trip."""
-
-    def __init__(self, n, q_left, q_right, w1, w2):
-        self.n = np.asarray(n)
-        self.q_left = np.asarray(q_left)
-        self.q_right = np.asarray(q_right)
-        self.w1 = np.asarray(w1, dtype=float)
-        self.w2 = np.asarray(w2, dtype=float)
-
-
 def _mobius(p11, p12, p21, p22, q0):
     """q = (p11 q0 + p12) / (p21 q0 + p22) per trip; a singular map raises."""
     denom = p21 * q0 + p22
@@ -614,12 +603,13 @@ def _mobius(p11, p12, p21, p22, q0):
     return (p11 * q0 + p12) / denom
 
 
-def gaussian_q_trace(sched, q0, n_max, *, wavelength):
+def gaussian_q_trace(sched, q0, n_max):
     """Track the complex beam parameter on both mirrors along a schedule.
 
-    The left-mirror q starts at ``q0``, the right-mirror q at its half-trip
-    image.  Each follows its mirror's continuum flow kk [[0, b], [c, 0]],
-    kk = theta / sin(theta); as kk^2 b c = -theta^2 on both mirrors, both
+    Returns the arrays ``(q_left, q_right)``, one entry per trip 0 ...
+    ``n_max``.  The left-mirror q starts at ``q0``, the right-mirror q at
+    its half-trip image.  Each follows its mirror's continuum flow
+    kk [[0, b], [c, 0]], kk = theta / sin(theta); as kk^2 b c = -theta^2 on both mirrors, both
     are read off the damped-oscillator flow :func:`oscillator_flow`, with
     e^g at trip n, b0 = ``sched.b0`` and c0' = ``sched.right_c0``:
 
@@ -643,9 +633,7 @@ def gaussian_q_trace(sched, q0, n_max, *, wavelength):
     q_right = _mobius(eg * du1, eg * du2 / kc, kc * u1, u2, q_right0)
     if (q_left.imag <= 0.0).any() or (q_right.imag <= 0.0).any():
         raise BeamParameterError("beam parameter left the upper half plane")
-    w1, w2 = (np.sqrt(wavelength * np.abs(q) ** 2 / (math.pi * q.imag))
-              for q in (q_left, q_right))
-    return GaussianQTrace(np.arange(n_max + 1), q_left, q_right, w1, w2)
+    return q_left, q_right
 
 
 class CollapseTrace:
@@ -674,8 +662,7 @@ def _centroid_ray(sched, beam, n_max):
         return np.zeros(n_max + 1)
     if n_max == 0:
         return np.array([beam.center])
-    trace = iterate_ray(sched, RayState(beam.center, beam.tilt), n_max)
-    return trace.x
+    return iterate_ray(sched, (beam.center, beam.tilt), n_max).x
 
 
 def run_collapse(sched, initial, n_max, engine="fresnel", *,
@@ -705,10 +692,10 @@ def run_collapse(sched, initial, n_max, engine="fresnel", *,
     if not isinstance(initial, GaussianBeam):
         raise ValidationError("the initial state must be a GaussianBeam")
     if engine == "gaussian_q":
-        qtrace = gaussian_q_trace(sched, initial.q, n_max,
-                                  wavelength=wavelength)
+        w1, w2 = (np.sqrt(wavelength * np.abs(q) ** 2 / (math.pi * q.imag))
+                  for q in gaussian_q_trace(sched, initial.q, n_max))
         centroid = _centroid_ray(sched, initial, n_max)
-        return CollapseTrace(qtrace.n, qtrace.w1, qtrace.w2,
+        return CollapseTrace(np.arange(n_max + 1), w1, w2,
                              np.ones(n_max + 1), centroid, engine)
     if engine not in ("fresnel", "split_step"):
         raise ValidationError("unknown engine %r" % (engine,))

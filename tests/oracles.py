@@ -172,7 +172,7 @@ def trip_flow(friction, omega_sq, n_max):
     return stepwise_products((p11, p12, p21, p22))
 
 
-def node_grid_solution(params, n_max):
+def node_grid_solution(omega, friction, n_max):
     """The ODE branch on its per-node grid, as a ``ClassicalSolution``.
 
     Each interval between interior table nodes (and 0 and ``n_max``) is cut
@@ -180,7 +180,7 @@ def node_grid_solution(params, n_max):
     coarse step ends to 1e-11 of max |Phi|, at most six times; every step
     is carried one at a time in scalar arithmetic.
     """
-    friction, omega_sq = params.friction, params.omega ** 2
+    omega_sq = omega ** 2
     n_max = float(n_max)
     nodes = np.empty(0) if friction.nodes is None else friction.nodes
     interior = nodes[(nodes > 0.0) & (nodes < n_max)]
@@ -198,8 +198,8 @@ def node_grid_solution(params, n_max):
             if coarse is not None:
                 change = np.max(np.abs(phi[::2] - coarse))
                 if change <= 1e-11 * np.max(np.abs(phi)):
-                    return ClassicalSolution(params, "ode", n_max=n_max,
-                                             flow=(t, phi))
+                    return ClassicalSolution(omega, friction, "ode",
+                                             n_max=n_max, flow=(t, phi))
             coarse = phi
     raise NumericalError("the per-node grid did not converge (last change "
                          "%.3g)" % change)

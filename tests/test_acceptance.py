@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from kanai_cavity.core import FrictionProfile, OscillatorParams, fundamental_solutions
+from kanai_cavity.core import FrictionProfile, fundamental_solutions
 from kanai_cavity.errors import MappingError
 from kanai_cavity.kanai import (
     GaussianWavepacket,
@@ -32,7 +32,6 @@ from kanai_cavity.paraxial import (
     stability_map,
 )
 from kanai_cavity.raysim import (
-    RayState,
     fit_damped_oscillation,
     fit_envelope_rate,
     iterate_ray,
@@ -109,7 +108,7 @@ def test_criterion_03_ray_damping(capsys):
     t0 = time.perf_counter()
     gamma = 1e-3
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(gamma))
-    trace = iterate_ray(sched, RayState(1.0, 0.0), 5000)
+    trace = iterate_ray(sched, (1.0, 0.0), 5000)
     fit = fit_damped_oscillation(trace.n, trace.x)
     decay_rel = abs(fit["decay_rate"] / (gamma / 2.0) - 1.0)
     period_rel = abs(fit["period"] / (2.0 * math.pi / THETA) - 1.0)
@@ -130,7 +129,7 @@ def test_criterion_04_lissajous_contraction(capsys):
     gamma = 1e-3
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(gamma))
     trace = lissajous(sched, (1.0, 0.0, 0.7, 0.5), 5000)
-    radius = pattern_radius(trace)
+    radius = pattern_radius(sched, trace)
     lag = int(math.ceil(2.0 * math.pi / THETA))
     running = np.array([radius[i:i + lag + 1].max()
                         for i in range(radius.size - lag)])
@@ -152,8 +151,7 @@ def test_criterion_05_collapse_law(capsys):
     beam = eigenmode_beam(MATRIX0)
     trace = run_collapse(sched, beam, 3000, "gaussian_q",
                          wavelength=WAVELENGTH)
-    sol = fundamental_solutions(
-        OscillatorParams(THETA, FrictionProfile.constant(gamma)))
+    sol = fundamental_solutions(THETA, FrictionProfile.constant(gamma))
     law = np.sqrt(sol.u2(trace.n) ** 2 + THETA ** 2 * sol.u1(trace.n) ** 2)
     law_dev = np.max(np.abs(trace.w1 / trace.w1[0] - law))
     target = (WAVELENGTH / math.pi) * math.sqrt((1.0 - math.cos(THETA)) / 2.0)
@@ -206,7 +204,7 @@ def test_criterion_07_three_way_oracle(capsys):
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(gamma))
     x0 = eigenmode_beam(MATRIX0).spot_size(WAVELENGTH)
     records = crosscheck_engines(sched, WAVELENGTH, 200, center=x0)
-    ray = iterate_ray(sched, RayState(x0, 0.0), 200).x
+    ray = iterate_ray(sched, (x0, 0.0), 200).x
     wave = np.array([r["centroid_wave"] for r in records])
     analytic = np.array([r["centroid_analytic"] for r in records])
     pair_dev = max(
@@ -227,8 +225,7 @@ def test_criterion_08_quantum_collapse(capsys):
     t0 = time.perf_counter()
     gamma = 1e-3
     params = map_parameters(GEOM0, WAVELENGTH)
-    sol = fundamental_solutions(
-        OscillatorParams(params.omega, FrictionProfile.constant(gamma)))
+    sol = fundamental_solutions(params.omega, FrictionProfile.constant(gamma))
     width0 = eigenmode_beam(MATRIX0).spot_size(WAVELENGTH) / 2.0
     packet = GaussianWavepacket(width=width0)
     n = np.arange(0.0, 5.0 / gamma + 1.0)
@@ -251,8 +248,7 @@ def test_criterion_09_wronskian_and_mapping(capsys):
     t0 = time.perf_counter()
     wronskian_dev = 0.0
     for gamma in (1e-3, 1e-2):
-        sol = fundamental_solutions(
-            OscillatorParams(THETA, FrictionProfile.constant(gamma)))
+        sol = fundamental_solutions(THETA, FrictionProfile.constant(gamma))
         n = np.linspace(0.0, 3000.0, 1501)
         wronskian_dev = max(wronskian_dev, np.max(
             np.abs(sol.wronskian(n) - np.exp(-gamma * n))))

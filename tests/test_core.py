@@ -1,6 +1,7 @@
 """Tests for the damped-oscillator core: friction profiles and u1/u2."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.interpolate import PchipInterpolator
 from kanai_cavity.core import (
     ClassicalSolution,
     FrictionProfile,
-    OscillatorParams,
     flow_products,
     fundamental_solutions,
     magnus4_steps,
@@ -168,9 +168,11 @@ def test_friction_domain_messages_for_every_input_form(form):
             table.evaluate(form(value))
         assert str(err.value) == (
             "n = %s outside tabulated friction range [0, 10]" % shown)
-    # NaN passes the domain checks and comes back as NaN
-    g, gdot = table.evaluate(form(math.nan))
-    assert np.isnan(g).any() and np.isnan(gdot).any()
+    # NaN fails the n >= 0 check of both kinds
+    for prof in (table, FrictionProfile.constant(1e-3)):
+        with pytest.raises(DomainError) as err:
+            prof.evaluate(form(math.nan))
+        assert str(err.value) == below
 
 
 def test_tabulated_validation():
@@ -208,28 +210,51 @@ def test_friction_csv_header_enforced(tmp_path):
         FrictionProfile.from_csv(path)
 
 
+def test_friction_csv_with_byte_order_mark(tmp_path):
+    """A UTF-8 table saved with a byte-order mark reads like one without."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = "n,g\n0.0,0.0\n100.0,0.05\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want = FrictionProfile.from_csv(plain)
+    got = FrictionProfile.from_csv(marked)
+    assert got.nodes.tolist() == want.nodes.tolist() == [0.0, 100.0]
+    assert got.evaluate(50.0) == want.evaluate(50.0)
+
+
 # ---------------------------------------------------------------------------
 # oscillator parameters
 
 
 def test_reduced_frequency():
-    params = OscillatorParams(1.0, FrictionProfile.constant(0.2))
-    assert abs(params.reduced_frequency - math.sqrt(1.0 - 0.01)) < 1e-15
+    sol = fundamental_solutions(1.0, FrictionProfile.constant(0.2))
+    assert abs(sol._big_omega - math.sqrt(1.0 - 0.01)) < 1e-15
 
 
 def test_overdamped_regime_rejected():
-    params = OscillatorParams(1.0, FrictionProfile.constant(2.5))
-    with pytest.raises(UnsupportedRegimeError):
-        _ = params.reduced_frequency
-    with pytest.raises(UnsupportedRegimeError):
-        fundamental_solutions(params, method="closed_form")
+    with pytest.raises(UnsupportedRegimeError) as excinfo:
+        fundamental_solutions(1.0, FrictionProfile.constant(2.5),
+                              method="closed_form")
+    assert str(excinfo.value) == (
+        "gamma = 2.5 >= 2*omega = 2: not underdamped; use the numerical-ODE "
+        "branch")
+    # auto picks the ODE branch instead
+    assert fundamental_solutions(1.0, FrictionProfile.constant(2.5),
+                                 n_max=1.0).kind == "ode"
 
 
 def test_invalid_omega_rejected():
-    with pytest.raises(ValidationError):
-        OscillatorParams(0.0, FrictionProfile.constant(0.0))
-    with pytest.raises(ValidationError):
-        OscillatorParams(-1.0, FrictionProfile.constant(0.0))
+    for omega in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError) as excinfo:
+            fundamental_solutions(omega, FrictionProfile.constant(0.0))
+        assert str(excinfo.value) == (
+            "omega must be finite and > 0, got %r" % omega)
+
+
+def test_friction_must_be_a_profile():
+    with pytest.raises(ValidationError) as excinfo:
+        fundamental_solutions(1.0, 1e-3)
+    assert str(excinfo.value) == "friction must be a FrictionProfile"
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +262,7 @@ def test_invalid_omega_rejected():
 
 
 def test_initial_conditions():
-    params = OscillatorParams(1.3, FrictionProfile.constant(5e-3))
-    sol = fundamental_solutions(params)
+    sol = fundamental_solutions(1.3, FrictionProfile.constant(5e-3))
     assert sol.u1(0.0) == 0.0
     assert sol.du1(0.0) == 1.0
     assert sol.u2(0.0) == 1.0
@@ -246,8 +270,7 @@ def test_initial_conditions():
 
 
 def test_undamped_solution_is_trigonometric():
-    params = OscillatorParams(1.0, FrictionProfile.constant(0.0))
-    sol = fundamental_solutions(params)
+    sol = fundamental_solutions(1.0, FrictionProfile.constant(0.0))
     n = math.pi / 2.0
     assert abs(sol.u1(n) - 1.0) < 1e-15
     assert abs(sol.u2(n)) < 1e-15
@@ -259,8 +282,7 @@ def test_undamped_solution_is_trigonometric():
 
 def test_damped_closed_form_expressions():
     gamma, omega = 0.2, 1.0
-    params = OscillatorParams(omega, FrictionProfile.constant(gamma))
-    sol = fundamental_solutions(params)
+    sol = fundamental_solutions(omega, FrictionProfile.constant(gamma))
     nu = math.sqrt(omega ** 2 - gamma ** 2 / 4.0)
     n = np.linspace(0.0, 30.0, 300)
     env = np.exp(-gamma * n / 2.0)
@@ -272,8 +294,7 @@ def test_damped_closed_form_expressions():
 
 def test_wronskian_matches_damping_exponent():
     gamma = 1e-3
-    params = OscillatorParams(1.0, FrictionProfile.constant(gamma))
-    sol = fundamental_solutions(params)
+    sol = fundamental_solutions(1.0, FrictionProfile.constant(gamma))
     # at n = 1/gamma the Wronskian has decayed to exactly 1/e
     assert abs(sol.wronskian(1000.0) - math.exp(-1.0)) < 1e-9
     n = np.linspace(0.0, 3000.0, 600)
@@ -284,17 +305,15 @@ def test_wronskian_matches_damping_exponent():
 
 def test_decay_envelope_bound():
     for gamma, omega in ((1e-3, 1.0), (1e-2, 0.7), (0.1, 1.88)):
-        params = OscillatorParams(omega, FrictionProfile.constant(gamma))
-        sol = fundamental_solutions(params)
-        nu = params.reduced_frequency
+        sol = fundamental_solutions(omega, FrictionProfile.constant(gamma))
+        nu = math.sqrt(omega ** 2 - gamma ** 2 / 4.0)
         n = np.linspace(0.0, 8.0 / max(gamma, 1e-2), 4000)
         bound = (1.0 + gamma / (2.0 * nu)) * np.exp(-gamma * n / 2.0)
         assert np.all(np.abs(sol.u2(n)) <= bound * (1.0 + 1e-12))
 
 
 def test_scalar_evaluation_returns_floats():
-    params = OscillatorParams(1.0, FrictionProfile.constant(1e-3))
-    sol = fundamental_solutions(params)
+    sol = fundamental_solutions(1.0, FrictionProfile.constant(1e-3))
     assert isinstance(sol.u1(2.0), float)
     assert isinstance(sol.wronskian(2.0), float)
     arr = sol.u2(np.array([1.0, 2.0]))
@@ -306,10 +325,9 @@ def test_scalar_evaluation_returns_floats():
 
 
 def test_ode_matches_closed_form_moderate_damping():
-    gamma, omega = 0.2, 1.0
-    params = OscillatorParams(omega, FrictionProfile.constant(gamma))
-    closed = fundamental_solutions(params, method="closed_form")
-    ode = fundamental_solutions(params, method="ode", n_max=10.0)
+    friction, omega = FrictionProfile.constant(0.2), 1.0
+    closed = fundamental_solutions(omega, friction, method="closed_form")
+    ode = fundamental_solutions(omega, friction, method="ode", n_max=10.0)
     for fn in ("u1", "du1", "u2", "du2"):
         dev = abs(getattr(ode, fn)(5.0) - getattr(closed, fn)(5.0))
         assert dev < 1e-9, (fn, dev)
@@ -319,9 +337,9 @@ def test_ode_matches_closed_form_long_windows():
     # long-window agreement for the slow-friction regimes of interest
     for gamma in (1e-3, 1e-2):
         for omega in (0.5, 1.88):
-            params = OscillatorParams(omega, FrictionProfile.constant(gamma))
-            closed = fundamental_solutions(params)
-            ode = fundamental_solutions(params, method="ode",
+            friction = FrictionProfile.constant(gamma)
+            closed = fundamental_solutions(omega, friction)
+            ode = fundamental_solutions(omega, friction, method="ode",
                                         n_max=10.0 / gamma)
             n = np.linspace(0.0, 10.0 / gamma, 1500)
             dev = max(
@@ -337,26 +355,25 @@ def test_ode_wronskian_for_tabulated_friction():
     nodes = np.linspace(0.0, 400.0, 161)
     g = 2e-3 * nodes + 5e-4 * (1.0 - np.cos(0.05 * nodes))
     friction = FrictionProfile.tabulated(nodes, g)
-    params = OscillatorParams(1.1, friction)
-    sol = fundamental_solutions(params)
+    sol = fundamental_solutions(1.1, friction)
     n = np.linspace(0.0, 400.0, 900)
     g_n, _ = friction.evaluate(n)
     assert np.max(np.abs(sol.wronskian(n) - np.exp(-g_n))) < 1e-9
 
 
 def test_ode_requires_window_for_constant_friction():
-    params = OscillatorParams(1.0, FrictionProfile.constant(1e-3))
+    friction = FrictionProfile.constant(1e-3)
     with pytest.raises(ValidationError):
-        fundamental_solutions(params, method="ode")
-    sol = fundamental_solutions(params, method="ode", n_max=50.0)
+        fundamental_solutions(1.0, friction, method="ode")
+    sol = fundamental_solutions(1.0, friction, method="ode", n_max=50.0)
     with pytest.raises(DomainError):
         sol.u1(51.0)
 
 
 @pytest.mark.parametrize("method", ["closed_form", "ode"])
 def test_solution_domain_errors_alike_for_scalars_and_arrays(method):
-    params = OscillatorParams(1.0, FrictionProfile.constant(1e-3))
-    sol = fundamental_solutions(params, method=method, n_max=50.0)
+    sol = fundamental_solutions(1.0, FrictionProfile.constant(1e-3),
+                                method=method, n_max=50.0)
     outside = [-0.5] if method == "closed_form" else [-0.5, 51.0]
     for value in outside:
         messages = set()
@@ -371,12 +388,30 @@ def test_solution_domain_errors_alike_for_scalars_and_arrays(method):
         assert sol.u2(value) == sol.u2(np.array([value]))[0]
 
 
+@pytest.mark.parametrize("kind", ["constant", "tabulated", "closed_form",
+                                  "ode"])
+def test_nan_and_inf_are_outside_every_domain(kind):
+    """Friction profiles of both kinds and fundamental solutions of both
+    kinds refuse NaN and +inf, as scalars and inside arrays, without a
+    floating-point warning on the way."""
+    friction = (FrictionProfile.tabulated([0.0, 4.0, 10.0], [0.0, 0.01, 0.03])
+                if kind == "tabulated" else FrictionProfile.constant(1e-3))
+    evaluate = (friction.evaluate if kind in ("constant", "tabulated") else
+                fundamental_solutions(1.0, friction, method=kind,
+                                      n_max=50.0).u1)
+    for value in (math.nan, math.inf):
+        for n in (value, np.array(value), np.array([1.0, value])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    evaluate(n)
+
+
 def test_closed_form_requires_constant_friction():
     friction = FrictionProfile.tabulated([0.0, 10.0], [0.0, 0.05])
-    params = OscillatorParams(1.0, friction)
     with pytest.raises(ValidationError):
-        fundamental_solutions(params, method="closed_form")
-    sol = fundamental_solutions(params)  # auto falls back to the ODE
+        fundamental_solutions(1.0, friction, method="closed_form")
+    sol = fundamental_solutions(1.0, friction)  # auto falls back to the ODE
     assert isinstance(sol, ClassicalSolution)
     assert abs(sol.u2(0.0) - 1.0) == 0.0
 
@@ -437,7 +472,7 @@ def _dop853_oracle(friction, omega, n):
 def test_magnus_flow_matches_dop853_on_rough_table():
     friction = _rough_friction()
     omega = 1.88
-    sol = fundamental_solutions(OscillatorParams(omega, friction))
+    sol = fundamental_solutions(omega, friction)
     n = np.linspace(0.0, friction.n_max, 777)
     ref = _dop853_oracle(friction, omega, n)
     for row, fn in enumerate(("u1", "du1", "u2", "du2")):
@@ -449,9 +484,9 @@ def test_magnus_flow_matches_dop853_on_rough_table():
 
 def test_magnus_flow_matches_closed_form_between_and_on_boundaries():
     # 12.3 trips is not a multiple of the 1/8-trip starting step
-    params = OscillatorParams(1.3, FrictionProfile.constant(0.2))
-    closed = fundamental_solutions(params, method="closed_form")
-    ode = fundamental_solutions(params, method="ode", n_max=12.3)
+    friction = FrictionProfile.constant(0.2)
+    closed = fundamental_solutions(1.3, friction, method="closed_form")
+    ode = fundamental_solutions(1.3, friction, method="ode", n_max=12.3)
     bounds = ode._t
     assert bounds[-1] == 12.3
     mids = 0.5 * (bounds[:-1] + bounds[1:])
@@ -493,9 +528,8 @@ def test_ode_branch_matches_the_per_node_grid_at_integer_trips(case):
         "overdamped": (FrictionProfile.constant(2.5), 1.0, 30.0),
         "non_integer_window": (FrictionProfile.constant(0.2), 1.3, 12.3),
     }[case]
-    params = OscillatorParams(omega, friction)
-    sol = fundamental_solutions(params, method="ode", n_max=n_max)
-    ref = node_grid_solution(params, n_max)
+    sol = fundamental_solutions(omega, friction, method="ode", n_max=n_max)
+    ref = node_grid_solution(omega, friction, n_max)
     n = np.arange(math.floor(n_max) + 1.0)
     got, want = ([getattr(s, fn)(n) for fn in ("u1", "du1", "u2", "du2")]
                  for s in (sol, ref))
@@ -561,10 +595,9 @@ def test_fundamental_solutions_keep_their_bits(kind):
     branch over OFF_GRID_TABLE, where every pinned trip past 0 ends in a
     partial step of nonzero length."""
     sol = {"closed_form": lambda: fundamental_solutions(
-               OscillatorParams(1.8755, FrictionProfile.constant(1e-3))),
+               1.8755, FrictionProfile.constant(1e-3)),
            "ode": lambda: fundamental_solutions(
-               OscillatorParams(1.88, OFF_GRID_TABLE), method="ode",
-               n_max=60.0)}[kind]()
+               1.88, OFF_GRID_TABLE, method="ode", n_max=60.0)}[kind]()
     assert sol.kind == kind
     for fn, want in PINNED_SOLUTION_BITS[kind].items():
         scalars = [getattr(sol, fn)(n).hex() for n in PIN_TRIPS]
@@ -667,8 +700,8 @@ def test_trip_rows_are_the_full_flow_rows(case):
 def test_overdamped_ode_branch_stays_finite_over_long_window():
     # gamma = 10: g reaches 2000, far beyond where e^{g} overflows
     gamma, omega = 10.0, 1.0
-    params = OscillatorParams(omega, FrictionProfile.constant(gamma))
-    sol = fundamental_solutions(params, method="ode", n_max=200.0)
+    sol = fundamental_solutions(omega, FrictionProfile.constant(gamma),
+                                method="ode", n_max=200.0)
     n = np.linspace(0.0, 200.0, 401)
     kappa = math.sqrt(gamma ** 2 / 4.0 - omega ** 2)
     slow = np.exp((kappa - gamma / 2.0) * n)
@@ -685,15 +718,15 @@ def test_overdamped_ode_branch_stays_finite_over_long_window():
 def test_ode_branch_raises_when_halving_does_not_converge():
     # cosh(s) of a Magnus step overflows unless the step is far below
     # 1/512 trip, so every level up to the cap is NaN
-    params = OscillatorParams(1.0, FrictionProfile.constant(1e6))
     with pytest.raises(NumericalError, match="512 Magnus steps per trip"):
-        fundamental_solutions(params, method="ode", n_max=1.0)
+        fundamental_solutions(1.0, FrictionProfile.constant(1e6), method="ode",
+                              n_max=1.0)
 
 
 def test_overdamped_ode_branch_still_integrates():
     # no underdamped closed form, but the equation itself is fine
-    params = OscillatorParams(1.0, FrictionProfile.constant(2.5))
-    sol = fundamental_solutions(params, method="ode", n_max=5.0)
+    sol = fundamental_solutions(1.0, FrictionProfile.constant(2.5), method="ode",
+                                n_max=5.0)
     # overdamped solutions decay without ringing
     n = np.linspace(0.0, 5.0, 50)
     u2 = sol.u2(n)

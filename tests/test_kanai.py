@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kanai_cavity import kanai
-from kanai_cavity.core import FrictionProfile, OscillatorParams, fundamental_solutions
+from kanai_cavity.core import FrictionProfile, fundamental_solutions
 from kanai_cavity.errors import MappingError, NearCausticError, ValidationError
 from kanai_cavity.kanai import (
     GaussianWavepacket,
@@ -21,7 +21,7 @@ from kanai_cavity.kanai import (
 )
 from kanai_cavity.paraxial import (AbcdMatrix, ResonatorGeometry,
                                    round_trip_matrix, stability)
-from kanai_cavity.raysim import RayState, iterate_ray
+from kanai_cavity.raysim import iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity.wavesim import GaussianBeam, eigenmode_beam, sample_beam
 import grid_oracles
@@ -139,8 +139,7 @@ def test_free_gaussian_momentum_drift():
 
 
 def make_solution(gamma):
-    return fundamental_solutions(
-        OscillatorParams(PARAMS.omega, FrictionProfile.constant(gamma)))
+    return fundamental_solutions(PARAMS.omega, FrictionProfile.constant(gamma))
 
 
 def test_propagator_reduces_to_packet_at_zero_time():
@@ -298,7 +297,7 @@ def test_crosscheck_displaced_centroids_agree_three_ways():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-2))
     x0 = SPOT0
     records = crosscheck_engines(sched, WAVELENGTH, 200, center=x0)
-    ray = iterate_ray(sched, RayState(x0, 0.0), 200).x
+    ray = iterate_ray(sched, (x0, 0.0), 200).x
     wave = np.array([r["centroid_wave"] for r in records])
     analytic = np.array([r["centroid_analytic"] for r in records])
     assert np.max(np.abs(wave - analytic)) / x0 < 0.01
@@ -314,7 +313,7 @@ def reference_kanai_propagate(packet, sol, params, x, n):
     x = np.asarray(x, dtype=float)
     dx = x[1] - x[0]
     u1, u2, du2 = (float(v) for v in (sol.u1(n), sol.u2(n), sol.du2(n)))
-    w_ronskian = float(np.exp(-sol.params.friction.evaluate(n)[0]))
+    w_ronskian = float(np.exp(-sol.friction.evaluate(n)[0]))
     hbar = params.hbar_eff
     mass = params.mass_eff
     prefactor = (u2 + 0j) ** (-0.5)
@@ -363,7 +362,7 @@ def test_propagator_in_a_chirp_frame_materialises_to_the_first_kernel(
             field = kanai._propagate(
                 packet, PARAMS, (n_samples, x[0], dx, x[n_samples // 2]), n,
                 u1, u2, du2,
-                float(np.exp(-sol.params.friction.evaluate(n)[0])), frame)
+                float(np.exp(-sol.friction.evaluate(n)[0])), frame)
             assert field._rate == frame
             ref = reference_kanai_propagate(packet, sol, PARAMS, x, n)
             err = np.linalg.norm(field.samples - ref) / np.linalg.norm(ref)
@@ -391,7 +390,7 @@ def reference_crosscheck(geom0, wavelength, sched, n_max, center=0.0,
     packet = GaussianWavepacket(beam.spot_size(wavelength) / 2.0,
                                 center=center, momentum=-tilt)
     sol = fundamental_solutions(
-        OscillatorParams(params.omega, sched.friction),
+        params.omega, sched.friction,
         n_max=n_max or min(1.0, sched.friction.n_max))
     field = sample_beam(beam, wavelength, grid_n)
     a_arr, b_arr, c_arr = sched.elements_at(

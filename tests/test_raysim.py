@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kanai_cavity.core import FrictionProfile, OscillatorParams, fundamental_solutions
+from kanai_cavity.core import FrictionProfile, fundamental_solutions
 from kanai_cavity.errors import ValidationError
 from kanai_cavity.paraxial import ResonatorGeometry, round_trip_matrix, stability
 from kanai_cavity.raysim import (
-    RayState,
     courant_snyder_invariant,
     fit_damped_oscillation,
     fit_envelope_rate,
@@ -35,7 +34,7 @@ def make_schedule(gamma):
 
 def test_fixed_cavity_conserves_quadratic_invariant():
     sched = make_schedule(0.0)
-    trace = iterate_ray(sched, RayState(1.0, 0.0), 100)
+    trace = iterate_ray(sched, (1.0, 0.0), 100)
     m = round_trip_matrix(GEOM0)
     inv = courant_snyder_invariant(m, trace.x, trace.xp)
     assert np.max(np.abs(inv / inv[0] - 1.0)) < 1e-10
@@ -43,14 +42,29 @@ def test_fixed_cavity_conserves_quadratic_invariant():
 
 def test_trace_shape_and_initial_state():
     sched = make_schedule(1e-3)
-    trace = iterate_ray(sched, RayState(0.25, -0.1), 10)
+    trace = iterate_ray(sched, (0.25, -0.1), 10)
     assert trace.n.shape == (11,)
     assert trace.x[0] == 0.25 and trace.xp[0] == -0.1
 
 
+def test_ray_start_types_give_the_same_bits():
+    """The start pair may hold ints or numpy scalars: each gives the trace
+    of the float start bit for bit, and the trace is float64.  A complex
+    start is refused, not carried as a complex trace."""
+    sched = make_schedule(1e-3)
+    want = iterate_ray(sched, (1.0, 0.0), 300)
+    for start in ((1, 0), (np.float32(1), np.int64(0))):
+        got = iterate_ray(sched, start, 300)
+        assert got.x.dtype == got.xp.dtype == np.float64
+        assert got.x.tobytes() == want.x.tobytes(), start
+        assert got.xp.tobytes() == want.xp.tobytes(), start
+    with pytest.raises(TypeError):
+        iterate_ray(sched, (1j, 0.0), 300)
+
+
 def test_damped_trace_envelope_and_period():
     sched = make_schedule(1e-3)
-    trace = iterate_ray(sched, RayState(1.0, 0.0), 5000)
+    trace = iterate_ray(sched, (1.0, 0.0), 5000)
     fit = fit_damped_oscillation(trace.n, trace.x)
     assert abs(fit["decay_rate"] / (1e-3 / 2.0) - 1.0) < 0.01
     assert abs(fit["period"] / (2.0 * math.pi / THETA) - 1.0) < 0.01
@@ -60,8 +74,8 @@ def test_ray_matches_continuum_solution():
     # adiabatic limit: the stroboscopic ray equals u2 with omega = theta
     gamma = 1e-3
     sched = make_schedule(gamma)
-    trace = iterate_ray(sched, RayState(1.0, 0.0), 5000)
-    sol = fundamental_solutions(OscillatorParams(THETA, FrictionProfile.constant(gamma)))
+    trace = iterate_ray(sched, (1.0, 0.0), 5000)
+    sol = fundamental_solutions(THETA, FrictionProfile.constant(gamma))
     dev = np.max(np.abs(trace.x - sol.u2(trace.n.astype(float))))
     assert dev < 0.01
 
@@ -69,7 +83,7 @@ def test_ray_matches_continuum_solution():
 def test_iterate_ray_validation():
     sched = make_schedule(1e-3)
     with pytest.raises(ValidationError):
-        iterate_ray(sched, RayState(1.0, 0.0), 0)
+        iterate_ray(sched, (1.0, 0.0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +100,7 @@ def test_undamped_difference_is_chebyshev():
 def test_difference_matches_matrix_iteration():
     for gamma in (0.0, 1e-3, 1e-2):
         sched = make_schedule(gamma)
-        trace = iterate_ray(sched, RayState(1.0, 0.0), 5000)
+        trace = iterate_ray(sched, (1.0, 0.0), 5000)
         # consistent seeding: one matrix application gives x1
         x = iterate_ray_difference(THETA, gamma, trace.x[0], trace.x[1], 5000)
         assert np.max(np.abs(x - trace.x)) < 1e-9, gamma
@@ -98,7 +112,7 @@ def test_general_profile_recurrence_residual():
     nodes = np.linspace(0.0, 200.0, 81)
     g = 2e-3 * nodes + 3e-3 * (1.0 - np.cos(0.05 * nodes))
     sched = MirrorSchedule(GEOM0, FrictionProfile.tabulated(nodes, g))
-    trace = iterate_ray(sched, RayState(1.0, 0.0), 150)
+    trace = iterate_ray(sched, (1.0, 0.0), 150)
     worst = 0.0
     for i in range(1, 150):
         a_prev, b_prev, _ = sched.elements_at(float(i - 1))
@@ -152,7 +166,7 @@ def test_root_superposition_reproduces_recurrence():
 def test_lissajous_contracts():
     sched = make_schedule(1e-3)
     trace = lissajous(sched, (1.0, 0.0, 0.7, 0.5), 5000)
-    radius = pattern_radius(trace)
+    radius = pattern_radius(sched, trace)
     rate = fit_envelope_rate(trace.n, radius)
     assert abs(rate / (-1e-3 / 2.0) - 1.0) < 1e-3
     assert radius[-1] < 0.1 * radius[0]
@@ -161,7 +175,7 @@ def test_lissajous_contracts():
 def test_undamped_lissajous_is_stationary():
     sched = make_schedule(0.0)
     trace = lissajous(sched, (1.0, 0.0, 0.7, 0.5), 2000)
-    radius = pattern_radius(trace)
+    radius = pattern_radius(sched, trace)
     assert np.max(np.abs(radius / radius[0] - 1.0)) < 1e-9
 
 
@@ -275,7 +289,7 @@ def test_ray_traces_follow_the_stepwise_products(block):
             sched = random_schedule(rng, seed, n_max)
             x0, xp0, y0, yp0 = (start_value(rng) for _ in range(4))
 
-            trace = iterate_ray(sched, RayState(x0, xp0), n_max)
+            trace = iterate_ray(sched, (x0, xp0), n_max)
             assert np.array_equal(trace.n, np.arange(n_max + 1)), seed
             zeros = np.zeros(n_max + 1)
             got = np.stack((trace.x, zeros, trace.xp, zeros), axis=1)

@@ -8,9 +8,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from kanai_cavity.core import (FrictionProfile, OscillatorParams,
-                               flow_products, fundamental_solutions,
-                               magnus4_steps)
+from kanai_cavity.core import (FrictionProfile, flow_products,
+                               fundamental_solutions, magnus4_steps)
 from kanai_cavity.errors import (
     BeamParameterError,
     NearFocalPlaneError,
@@ -20,7 +19,7 @@ from kanai_cavity.errors import (
     ValidationError,
 )
 from kanai_cavity.paraxial import AbcdMatrix, ResonatorGeometry, round_trip_matrix, stability
-from kanai_cavity.raysim import RayState, iterate_ray
+from kanai_cavity.raysim import iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
 from kanai_cavity import core, wavesim
 import grid_oracles
@@ -370,9 +369,9 @@ def test_split_step_validation():
 def test_gaussian_q_trace_follows_collapse_law():
     gamma = 1e-3
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(gamma))
-    trace = gaussian_q_trace(sched, EIGENBEAM.q, 3000, wavelength=WAVELENGTH)
-    sol = fundamental_solutions(
-        OscillatorParams(THETA, FrictionProfile.constant(gamma)))
+    trace = run_collapse(sched, EIGENBEAM, 3000, "gaussian_q",
+                         wavelength=WAVELENGTH)
+    sol = fundamental_solutions(THETA, FrictionProfile.constant(gamma))
     law = np.sqrt(sol.u2(trace.n) ** 2
                   + THETA ** 2 * np.asarray(sol.u1(trace.n)) ** 2)
     assert np.max(np.abs(trace.w1 / trace.w1[0] - law)) < 1e-3
@@ -383,31 +382,32 @@ def test_gaussian_q_trace_follows_collapse_law():
 
 def test_gaussian_q_uncertainty_product_constant():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
-    trace = gaussian_q_trace(sched, EIGENBEAM.q, 3000, wavelength=WAVELENGTH)
+    trace = run_collapse(sched, EIGENBEAM, 3000, "gaussian_q",
+                         wavelength=WAVELENGTH)
     product = np.asarray(trace.w1) * np.asarray(trace.w2)
     assert np.max(np.abs(product / PRODUCT0 - 1.0)) < 1e-6
 
 
 def test_gaussian_q_stationary_without_friction():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(0.0))
-    trace = gaussian_q_trace(sched, EIGENBEAM.q, 500, wavelength=WAVELENGTH)
+    trace = run_collapse(sched, EIGENBEAM, 500, "gaussian_q",
+                         wavelength=WAVELENGTH)
     assert np.max(np.abs(np.asarray(trace.w1) / trace.w1[0] - 1.0)) < 1e-12
 
 
 def test_gaussian_q_trace_validation():
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     with pytest.raises(ValidationError):
-        gaussian_q_trace(sched, 1.0 - 1j, 10, wavelength=WAVELENGTH)
+        gaussian_q_trace(sched, 1.0 - 1j, 10)
 
 
 def test_gaussian_q_zero_trips_is_the_start():
     """With n_max = 0 the flow has no step: one row, q0 on the left mirror
     and its half-trip image on the right."""
     sched = MirrorSchedule(GEOM0, seeded_q_table(np.random.default_rng(4), 50))
-    trace = gaussian_q_trace(sched, EIGENBEAM.q, 0, wavelength=WAVELENGTH)
-    assert trace.n.tolist() == [0]
-    assert trace.q_left.tolist() == [EIGENBEAM.q]
-    assert trace.q_right.tolist() == [
+    q_left, q_right = gaussian_q_trace(sched, EIGENBEAM.q, 0)
+    assert q_left.tolist() == [EIGENBEAM.q]
+    assert q_right.tolist() == [
         wavesim.beam_round_trip(EIGENBEAM.q, sched.half_matrix_at(0.0))]
 
 
@@ -432,7 +432,7 @@ def test_gaussian_q_lower_half_plane_raises(monkeypatch):
     monkeypatch.setattr(wavesim, "oscillator_flow", flow)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     with pytest.raises(BeamParameterError, match="upper half plane"):
-        gaussian_q_trace(sched, EIGENBEAM.q, 4, wavelength=WAVELENGTH)
+        gaussian_q_trace(sched, EIGENBEAM.q, 4)
 
 
 def test_gaussian_q_singular_flow_names_the_first_bad_trip(monkeypatch):
@@ -446,7 +446,7 @@ def test_gaussian_q_singular_flow_names_the_first_bad_trip(monkeypatch):
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     with pytest.raises(BeamParameterError,
                        match="beam-parameter flow singular at trip 3$"):
-        gaussian_q_trace(sched, EIGENBEAM.q, 6, wavelength=WAVELENGTH)
+        gaussian_q_trace(sched, EIGENBEAM.q, 6)
     assert len(calls) == 1
 
 
@@ -457,10 +457,13 @@ def test_gaussian_q_nan_flow_passes_through(monkeypatch):
     monkeypatch.setattr(wavesim, "oscillator_flow", flow)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
     with np.errstate(invalid="ignore"):
-        trace = gaussian_q_trace(sched, EIGENBEAM.q, 3, wavelength=WAVELENGTH)
+        q_left, q_right = gaussian_q_trace(sched, EIGENBEAM.q, 3)
+        trace = run_collapse(sched, EIGENBEAM, 3, "gaussian_q",
+                             wavelength=WAVELENGTH)
+    assert np.isfinite(q_left[0]) and np.isfinite(q_right[0])
+    assert np.isnan(q_left[1:]).all() and np.isnan(q_right[1:]).all()
     assert np.isfinite(trace.w1[0]) and np.isfinite(trace.w2[0])
     assert np.isnan(trace.w1[1:]).all() and np.isnan(trace.w2[1:]).all()
-    assert np.isnan(trace.q_left[1:]).all()
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 7, 300])
@@ -474,7 +477,7 @@ def test_gaussian_q_carries_one_matrix_per_trip(monkeypatch, n_max):
         return flow_products(steps, start, ends_only)
     monkeypatch.setattr(core, "flow_products", counted)
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
-    gaussian_q_trace(sched, EIGENBEAM.q, n_max, wavelength=WAVELENGTH)
+    gaussian_q_trace(sched, EIGENBEAM.q, n_max)
     assert calls == [(8 * n_max, True)]
 
 
@@ -521,8 +524,7 @@ def test_gaussian_q_follows_the_per_trip_flow(case):
     for n_max in (0, 1, 7, 500):
         rows = oracles.trip_flow(friction, sched.theta ** 2, n_max)
         for q0 in (EIGENBEAM.q, complex(0.3, 1.4 * EIGENBEAM.q.imag)):
-            trace = gaussian_q_trace(sched, q0, n_max, wavelength=WAVELENGTH)
-            for got, ref in zip((trace.q_left, trace.q_right),
+            for got, ref in zip(gaussian_q_trace(sched, q0, n_max),
                                 q_from_rows(sched, q0, rows)):
                 if n_max <= 1:
                     assert got.tobytes() == ref.tobytes(), (n_max, q0)
@@ -553,8 +555,7 @@ def test_collapse_fresnel_matches_slow_envelope_law():
     trace = run_collapse(sched, EIGENBEAM, 500, engine="fresnel",
                          wavelength=WAVELENGTH)
     assert not trace.truncated
-    sol = fundamental_solutions(
-        OscillatorParams(THETA, FrictionProfile.constant(gamma)))
+    sol = fundamental_solutions(THETA, FrictionProfile.constant(gamma))
     law = np.sqrt(sol.u2(trace.n.astype(float)) ** 2
                   + THETA ** 2 * np.asarray(sol.u1(trace.n.astype(float))) ** 2)
     w1 = np.asarray(trace.w1)
@@ -575,7 +576,7 @@ def test_collapse_displaced_centroid_follows_ray():
     beam = GaussianBeam(EIGENBEAM.q, center=x0)
     trace = run_collapse(sched, beam, 500, engine="fresnel",
                          wavelength=WAVELENGTH)
-    rays = iterate_ray(sched, RayState(x0, 0.0), 500)
+    rays = iterate_ray(sched, (x0, 0.0), 500)
     assert np.max(np.abs(np.asarray(trace.centroid) - rays.x)) < 0.01 * x0
 
 
@@ -601,7 +602,7 @@ def test_wave_centroids_track_rays_over_thousand_trips():
     gamma = 1e-3
     sched = MirrorSchedule(GEOM0, FrictionProfile.constant(gamma))
     x0 = 0.3 * SPOT0
-    rays = iterate_ray(sched, RayState(x0, 0.0), 1000)
+    rays = iterate_ray(sched, (x0, 0.0), 1000)
     starts = np.arange(1000, dtype=float)
     a_arr, b_arr, c_arr = sched.elements_at(starts)
 
@@ -1041,11 +1042,12 @@ def test_gaussian_q_trace_matches_the_stepwise_flow(seed):
         sched = MirrorSchedule(geom, friction)
         for q0 in (eigen_q, complex(0.4, 1.7 * eigen_q.imag)):
             for n_max in Q_ORACLE_N:
-                trace = gaussian_q_trace(sched, q0, n_max,
-                                         wavelength=WAVELENGTH)
+                trace = run_collapse(sched, GaussianBeam(q0), n_max,
+                                     "gaussian_q", wavelength=WAVELENGTH)
                 ref = reference_gaussian_q_trace(sched, q0, n_max,
                                                  WAVELENGTH)
-                got = (trace.q_left, trace.q_right, trace.w1, trace.w2)
+                got = gaussian_q_trace(sched, q0, n_max) + (trace.w1,
+                                                            trace.w2)
                 case = (friction.kind, q0, n_max)
                 for g, r in zip(got, ref):
                     assert len(g) == n_max + 1, case
@@ -1086,12 +1088,11 @@ def test_gaussian_q_is_exact_for_the_damped_oscillator(seed):
              (seeded_q_table(rng, n_max), "ode", 2e-7))
     for friction, method, bound in cases:
         sched = MirrorSchedule(geom, friction)
-        sol = fundamental_solutions(OscillatorParams(sched.theta, friction),
+        sol = fundamental_solutions(sched.theta, friction,
                                     method=method, n_max=n_max)
         for q0 in (eigen_q, complex(0.4, 1.7 * eigen_q.imag)):
-            trace = gaussian_q_trace(sched, q0, n_max, wavelength=WAVELENGTH)
             ref = identity_q(sched, q0, sol, n_max)
-            for got, r in zip((trace.q_left, trace.q_right), ref):
+            for got, r in zip(gaussian_q_trace(sched, q0, n_max), ref):
                 assert rel_dev(got, r) <= bound, (method, q0)
 
 
