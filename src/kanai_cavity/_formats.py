@@ -143,8 +143,6 @@ def _cells(values):
     zeros written as 0 bytes, which the CSV rows drop like the padding."""
     if values.dtype.kind == "S":
         return values
-    if values.dtype.kind == "b":
-        return _BOOL_CELLS[values.view(np.uint8)]
     negative = values < 0
     mag = values.astype(np.uint64)
     mag[negative] = -mag[negative]

@@ -132,7 +132,8 @@ class FrictionProfile:
         """
         arr = np.asarray(n, dtype=float)
         scalar = np.isscalar(n) or (isinstance(n, np.ndarray) and n.ndim == 0)
-        self._check_domain(arr)
+        _check_domain(arr, self.n_max, "friction profiles",
+                      "tabulated friction range [0, %g]")
         if self.kind == "constant":
             g = self.gamma * arr
             gdot = np.full_like(arr, self.gamma)
@@ -147,22 +148,23 @@ class FrictionProfile:
             return float(g), float(gdot)
         return g, gdot
 
-    def _check_domain(self, arr):
-        # each comparison fails for NaN
-        if not (arr >= 0.0).all():
-            raise DomainError("friction profiles are defined for n >= 0")
-        if self.kind == "constant" and not (arr < math.inf).all():
-            raise DomainError("friction profiles are defined for finite n")
-        if self.kind == "tabulated" and not (arr <= self.n_max * (1.0 + 1e-12)).all():
-            raise DomainError(
-                "n = %s outside tabulated friction range [0, %g]"
-                % (np.max(arr), self.n_max))
-
     def __repr__(self):
         if self.kind == "constant":
             return "FrictionProfile.constant(gamma=%g)" % self.gamma
         return "FrictionProfile.tabulated(<%d samples, n_max=%g>)" % (
             self.nodes.size, self.n_max)
+
+
+def _check_domain(arr, n_max, noun, window):
+    """Refuse n outside [0, n_max] (+inf too where n_max is infinite) in
+    the words of ``noun`` or ``window % n_max``; NaN fails each test."""
+    if not (arr >= 0.0).all():
+        raise DomainError("%s are defined for n >= 0" % noun)
+    if n_max == math.inf:
+        if not (arr < n_max).all():
+            raise DomainError("%s are defined for finite n" % noun)
+    elif not (arr <= n_max * (1.0 + 1e-12)).all():
+        raise DomainError("n = %s outside %s" % (np.max(arr), window % n_max))
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -352,23 +354,14 @@ class ClassicalSolution:
         else:
             self._t, self._phi = flow
 
-    def _check_domain(self, arr):
-        # each comparison fails for NaN
-        if not (arr >= 0.0).all():
-            raise DomainError("fundamental solutions are defined for n >= 0")
-        if self.kind == "closed_form" and not (arr < math.inf).all():
-            raise DomainError("fundamental solutions are defined for finite n")
-        if not (arr <= self.n_max * (1.0 + 1e-12)).all():
-            raise DomainError(
-                "n = %s outside integrated range [0, %g]; re-integrate with a "
-                "larger n_max" % (np.max(arr), self.n_max))
-
     def _eval(self, n):
         """``(u2, u1, u2', u1')`` at ``n``: the entries (p11, p12, p21, p22)
         of the flow from 0 to n, in the row layout of
         :func:`oscillator_flow`."""
         arr = np.asarray(n, dtype=float)
-        self._check_domain(arr)
+        _check_domain(arr, self.n_max, "fundamental solutions",
+                      "integrated range [0, %g]; re-integrate with a larger "
+                      "n_max")
         if self.kind == "closed_form":
             gam, big = self.friction.gamma, self._big_omega
             env = np.exp(-0.5 * gam * arr)
@@ -465,6 +458,8 @@ def fundamental_solutions(omega, friction, method="auto", n_max=None):
         raise ValidationError(
             "n_max is required for the ODE branch with constant friction")
     n_max = float(friction.n_max if n_max is None else n_max)
+    if not math.isfinite(n_max):
+        raise ValidationError("n_max must be finite, got %r" % n_max)
     if n_max <= 0.0:
         raise ValidationError("n_max must be positive")
 

@@ -28,10 +28,11 @@ import numpy as np
 from .core import fundamental_solutions
 from .errors import (MappingError, NearCausticError, NumericalError,
                      ValidationError)
-from .paraxial import AbcdMatrix, round_trip_matrix, stability
+from .paraxial import round_trip_matrix, stability
 from .wavesim import (DEFAULT_GRID_N, DEFAULT_WINDOW_FACTOR, ComplexField,
-                      GaussianBeam, _gaussian, fresnel_round_trip,
-                      phase_aligned_l2, sample_beam, spot_size)
+                      GaussianBeam, _gaussian, eigenmode_beam,
+                      fresnel_round_trip, grid_trips, phase_aligned_l2,
+                      sample_beam, spot_size)
 
 
 class QuantumParams:
@@ -260,9 +261,8 @@ def crosscheck_engines(sched, wavelength, n_max, center=0.0, tilt=0.0,
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     params = map_parameters(sched.geom0, wavelength)
-    m0 = round_trip_matrix(sched.geom0)
-    q0 = 1j * width_scale * width_scale * math.sqrt(-m0.b / m0.c)
-    beam = GaussianBeam(q0, center=center, tilt=tilt)
+    beam = GaussianBeam(eigenmode_beam(round_trip_matrix(sched.geom0)).q
+                        * (width_scale * width_scale), center=center, tilt=tilt)
     packet = GaussianWavepacket(beam.spot_size(wavelength) / 2.0,
                                 center=center, momentum=-tilt)
     # At n_max = 0 only n = 0 is read, but an integrated window must be
@@ -277,10 +277,9 @@ def crosscheck_engines(sched, wavelength, n_max, center=0.0, tilt=0.0,
     w_ronskian = np.exp(-sched.friction.evaluate(trips)[0])
 
     field = sample_beam(beam, wavelength, grid_n, window_factor=window_factor)
-    starts = np.arange(max(n_max, 1), dtype=float)
-    a_arr, b_arr, c_arr = sched.elements_at(starts)
     records = []
-    for n in range(n_max + 1):
+    for n, field in enumerate(grid_trips(sched, field, n_max,
+                                         fresnel_round_trip)):
         # in the wave field's chirp frame, the inner product needs no chirp
         grid = (field.n_samples, field.x0, field.dx,
                 field.x0 + (field.n_samples // 2) * field.dx)
@@ -297,8 +296,4 @@ def crosscheck_engines(sched, wavelength, n_max, center=0.0, tilt=0.0,
             "width_wave": spot_size(field) / 2.0,
             "width_analytic": float(delta_x),
         })
-        if n == n_max:
-            break
-        m = AbcdMatrix(a_arr[n], b_arr[n], c_arr[n], a_arr[n])
-        field = fresnel_round_trip(field, m)
     return records

@@ -20,6 +20,7 @@ a fundamental Gaussian equals the 1/e^2 intensity radius.
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -636,6 +637,15 @@ def gaussian_q_trace(sched, q0, n_max):
     return q_left, q_right
 
 
+def grid_trips(sched, field, n_max, trip):
+    """``field`` before each of ``n_max`` trips ``trip(field, m)`` along
+    ``sched`` and after the last.  The trip matrices are fetched on the
+    call; each trip runs when its output is read."""
+    a, b, c = sched.elements_at(np.arange(n_max, dtype=float))
+    return itertools.accumulate(map(AbcdMatrix, a, b, c, a), trip,
+                                initial=field)
+
+
 class CollapseTrace:
     """Per-round-trip collapse diagnostics.
 
@@ -702,40 +712,30 @@ def run_collapse(sched, initial, n_max, engine="fresnel", *,
 
     field = sample_beam(initial, wavelength, grid_n,
                         window_factor=window_factor)
-
-    a_arr, b_arr, c_arr = sched.elements_at(
-        np.arange(max(n_max, 1), dtype=float))
+    fields = grid_trips(sched, field, n_max, fresnel_round_trip
+                        if engine == "fresnel" else split_step_round_trip)
     halves = np.transpose(sched.half_elements_at(np.arange(n_max + 1.0)))
-    trip = fresnel_round_trip if engine == "fresnel" else split_step_round_trip
     ns, w1s, w2s, norms, centroids = [], [], [], [], []
     diagnostic = None
-    for n in range(n_max + 1):
-        try:
+    try:
+        for n, field in enumerate(fields):
             w1 = spot_size(field)
             # spot_size reads only the intensity: skip the post-chirp
             spectrum, dx_out = _diffract(field, AbcdMatrix(*halves[n]))
             w2 = spot_size(ComplexField(
                 spectrum, dx_out, -(field.n_samples // 2) * dx_out,
                 field.wavelength))
-        except (SamplingError, ResolutionError) as exc:
-            diagnostic = "run truncated at trip %d: %s" % (n, exc)
-            break
-        ns.append(n)
-        w1s.append(w1)
-        w2s.append(w2)
-        norms.append(field.norm_sq())
-        centroids.append(field.centroid())
-        if engine == "split_step" and w1 < 8.0 * field.dx:
-            diagnostic = ("run truncated at trip %d: spot size %g below "
-                          "eight grid pixels (%g)" % (n, w1, 8.0 * field.dx))
-            break
-        if n == n_max:
-            break
-        try:
-            field = trip(field,
-                         AbcdMatrix(a_arr[n], b_arr[n], c_arr[n], a_arr[n]))
-        except SamplingError as exc:
-            diagnostic = "run truncated at trip %d: %s" % (n + 1, exc)
-            break
+            ns.append(n)
+            w1s.append(w1)
+            w2s.append(w2)
+            norms.append(field.norm_sq())
+            centroids.append(field.centroid())
+            if engine == "split_step" and w1 < 8.0 * field.dx:
+                diagnostic = ("run truncated at trip %d: spot size %g below "
+                              "eight grid pixels (%g)"
+                              % (n, w1, 8.0 * field.dx))
+                break
+    except (SamplingError, ResolutionError) as exc:
+        diagnostic = "run truncated at trip %d: %s" % (len(ns), exc)
     return CollapseTrace(np.array(ns), w1s, w2s, norms, centroids, engine,
                          diagnostic)

@@ -142,3 +142,46 @@ def test_crosscheck_evaluates_the_classical_solutions_once_per_run(
     evaluated over every trip at once, not one scalar per trip."""
     proc = run_with_perfbench(SOLUTION_CALLS, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+TRIP_CALLS = """
+import tracing
+from kanai_cavity.core import FrictionProfile
+from kanai_cavity.kanai import crosscheck_engines
+from kanai_cavity.paraxial import ResonatorGeometry, round_trip_matrix
+from kanai_cavity.schedule import MirrorSchedule
+from kanai_cavity.wavesim import eigenmode_beam, run_collapse
+calls = []
+
+
+def counting(raw):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+    return wrapper
+
+
+tracing.Patches().replace("wavesim", "fresnel_round_trip", counting)
+sched = MirrorSchedule(ResonatorGeometry(1.7, 1.5),
+                       FrictionProfile.constant(1e-3))
+beam = eigenmode_beam(round_trip_matrix(sched.geom0))
+for n_max in (0, 1, 5):
+    del calls[:]
+    crosscheck_engines(sched, 1e-4, n_max, grid_n=256)
+    assert len(calls) == n_max, ("crosscheck", n_max, len(calls))
+    del calls[:]
+    trace = run_collapse(sched, beam, n_max, "fresnel", wavelength=1e-4,
+                         grid_n=256)
+    assert not trace.truncated
+    assert len(calls) == n_max, ("collapse", n_max, len(calls))
+"""
+
+
+def test_grid_trips_call_the_rebound_fresnel_trip():
+    """perfbench counts Fresnel trips by rebinding ``fresnel_round_trip``
+    in every package module.  A crosscheck and a fresnel collapse of n
+    trips each reach the rebound function n times, so a trip loop that
+    held its own reference to the raw function (say, as a default
+    argument) would drop their trips out of the trace."""
+    proc = run_with_perfbench(TRIP_CALLS)
+    assert proc.returncode == 0, proc.stderr

@@ -291,6 +291,23 @@ def test_crosscheck_zero_trips_single_record(tmp_path, friction):
     assert report["max_l2_distance"] < 1e-6
 
 
+def test_collapse_past_the_table_names_the_last_trip_start(tmp_path,
+                                                           capsys):
+    """A fresnel collapse fetches the matrices of all its trips before the
+    first one runs, so 30 trips on a 20-trip table stop on the last trip
+    start, n = 29, before the half trips reach n = 30."""
+    (tmp_path / "table.csv").write_text("n,g\n0,0\n10,0.01\n20,0.03\n")
+    cfg = write_config(tmp_path,
+                       friction={"kind": "tabulated", "path": "table.csv"},
+                       run={"n_max": 30, "dn": 1, "engine": "fresnel",
+                            "grid_n": 256})
+    out = tmp_path / "out"
+    assert cli.main(["collapse", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: n = 29.0 outside tabulated friction range [0, 20]\n")
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_crosscheck_numerical_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, run={"n_max": 5, "dn": 1, "grid_n": 16})
     out = tmp_path / "out"

@@ -365,6 +365,13 @@ def test_ode_requires_window_for_constant_friction():
     friction = FrictionProfile.constant(1e-3)
     with pytest.raises(ValidationError):
         fundamental_solutions(1.0, friction, method="ode")
+    for n_max, message in ((0.0, "n_max must be positive"),
+                           (-1.0, "n_max must be positive"),
+                           (math.nan, "n_max must be finite, got nan"),
+                           (math.inf, "n_max must be finite, got inf")):
+        with pytest.raises(ValidationError) as excinfo:
+            fundamental_solutions(1.0, friction, method="ode", n_max=n_max)
+        assert str(excinfo.value) == message
     sol = fundamental_solutions(1.0, friction, method="ode", n_max=50.0)
     with pytest.raises(DomainError):
         sol.u1(51.0)

@@ -23,7 +23,10 @@ from kanai_cavity.paraxial import (AbcdMatrix, ResonatorGeometry,
                                    round_trip_matrix, stability)
 from kanai_cavity.raysim import iterate_ray
 from kanai_cavity.schedule import MirrorSchedule
-from kanai_cavity.wavesim import GaussianBeam, eigenmode_beam, sample_beam
+from kanai_cavity.wavesim import (DEFAULT_WINDOW_FACTOR, ComplexField,
+                                  GaussianBeam, eigenmode_beam,
+                                  fresnel_round_trip, grid_trips,
+                                  phase_aligned_l2, run_collapse, sample_beam)
 import grid_oracles
 
 GEOM0 = ResonatorGeometry(1.7, 1.5)
@@ -378,15 +381,15 @@ RECORD_FIELDS = ("l2_distance", "centroid_wave", "centroid_analytic",
 
 
 def reference_crosscheck(geom0, wavelength, sched, n_max, center=0.0,
-                         tilt=0.0, grid_n=256):
+                         tilt=0.0, width_scale=1.0, grid_n=256):
     """The crosscheck loop as first written: the analytic side comes from
     one ``kanai_propagate`` and one ``moments`` call per trip, the wave side
     from the grid kernels of ``grid_oracles``, which measure every spectrum
     and post-chirp every trip, and the distance is summed directly."""
     params = map_parameters(geom0, wavelength)
     m0 = round_trip_matrix(geom0)
-    beam = GaussianBeam(1j * math.sqrt(-m0.b / m0.c), center=center,
-                        tilt=tilt)
+    beam = GaussianBeam(1j * width_scale * width_scale
+                        * math.sqrt(-m0.b / m0.c), center=center, tilt=tilt)
     packet = GaussianWavepacket(beam.spot_size(wavelength) / 2.0,
                                 center=center, momentum=-tilt)
     sol = fundamental_solutions(
@@ -441,17 +444,20 @@ FRICTIONS = {
 
 @pytest.mark.parametrize("friction", sorted(FRICTIONS))
 @pytest.mark.parametrize("n_max", [0, 1, 7, 60])
-@pytest.mark.parametrize("center, tilt", [(0.0, 0.0), (0.7, 0.0),
-                                          (-0.5, 1e-3)])
+@pytest.mark.parametrize("center, tilt, width_scale", [
+    (0.0, 0.0, 1.0), (0.7, 0.0, 1.0), (-0.5, 1e-3, 1.0), (0.7, 0.0, 1.3)],
+    ids=["0.0-0.0", "0.7-0.0", "-0.5-0.001", "0.7-0.0-1.3"])
 def test_crosscheck_records_match_per_trip_calls(friction, n_max, center,
-                                                 tilt):
+                                                 tilt, width_scale):
     """Against per-trip calls and the grid kernels that measured every
     spectrum and post-chirped every trip: every float64 bit of the analytic
     columns; the wave centroid and width to <= 1e-10 of the width, and
     l2_distance to <= 1e-7, the sqrt(eps) floor of its cancelling formula
-    where the fields agree to rounding (measured: at most 2.1e-8)."""
+    where the fields agree to rounding (measured: at most 2.1e-8).  The
+    reference writes the width-scaled eigenmode q = i ws^2 sqrt(-b/c) out
+    by hand."""
     sched = MirrorSchedule(GEOM0, FRICTIONS[friction])
-    kwargs = dict(center=center * SPOT0, tilt=tilt)
+    kwargs = dict(center=center * SPOT0, tilt=tilt, width_scale=width_scale)
     got = crosscheck_engines(sched, WAVELENGTH, n_max, grid_n=256, **kwargs)
     ref = reference_crosscheck(GEOM0, WAVELENGTH, sched, n_max, **kwargs)
     analytic = ("centroid_analytic", "width_analytic")
@@ -460,3 +466,63 @@ def test_crosscheck_records_match_per_trip_calls(friction, n_max, center,
         for key in ("centroid_wave", "width_wave"):
             assert abs(g[key] - r[key]) <= 1e-10 * r["width_wave"], g["n"]
         assert abs(g["l2_distance"] - r["l2_distance"]) <= 1e-7, g["n"]
+
+
+@pytest.mark.parametrize("friction", ["constant", "table1"])
+@pytest.mark.parametrize("center, tilt", [(0.0, 0.0), (0.7, 0.0),
+                                          (-0.5, 1e-3)])
+def test_crosscheck_and_fresnel_collapse_step_the_same_fields(friction,
+                                                              center, tilt):
+    """Both commands step their fields through ``grid_trips``: the
+    crosscheck's wave centroid and width are the fresnel collapse's
+    centroid and w1 / 2, bit for bit, on every trip."""
+    sched = MirrorSchedule(GEOM0, FRICTIONS[friction])
+    beam = GaussianBeam(eigenmode_beam(round_trip_matrix(GEOM0)).q,
+                        center=center * SPOT0, tilt=tilt)
+    records = crosscheck_engines(sched, WAVELENGTH, 60, center=beam.center,
+                                 tilt=tilt, grid_n=1024)
+    trace = run_collapse(sched, beam, 60, "fresnel", wavelength=WAVELENGTH,
+                         grid_n=1024)
+    assert not trace.truncated
+    assert ([(r["centroid_wave"].hex(), r["width_wave"].hex())
+             for r in records]
+            == [(float(c).hex(), float(w / 2.0).hex())
+                for c, w in zip(trace.centroid, trace.w1)])
+
+
+def test_a_superposition_follows_the_propagator_through_the_grid_trips():
+    """Two Gaussians, weighted 1 and i, displaced by +-0.8 w and tilted by
+    2e-3 and -1e-3, stepped together through 20 Fresnel trips at
+    gamma = 1e-3, N = 4096: after every trip the field is the same
+    weighted sum of the analytic propagator's components, taken in the
+    field's chirp frame, up to one global phase.  Bound 2e-3 on the
+    phase-aligned L2 (measured: at most 7.2e-4).  The components have
+    different |p|, so a propagator that dropped the phase p^2 t / (2 m hbar)
+    would move them against each other (measured: 0.30)."""
+    sched = MirrorSchedule(GEOM0, FrictionProfile.constant(1e-3))
+    q0 = eigenmode_beam(round_trip_matrix(GEOM0)).q
+    parts = [(1.0, 0.8 * SPOT0, 2e-3), (1j, -0.8 * SPOT0, -1e-3)]
+    grid_n = 4096
+    dx = DEFAULT_WINDOW_FACTOR * SPOT0 / grid_n
+    start = sum(weight * sample_beam(GaussianBeam(q0, center, tilt),
+                                     WAVELENGTH, grid_n, dx=dx).samples
+                for weight, center, tilt in parts)
+    packets = [(weight, GaussianWavepacket(SPOT0 / 2.0, center, -tilt))
+               for weight, center, tilt in parts]
+    sol = fundamental_solutions(PARAMS.omega, sched.friction)
+    distances = []
+    for n, field in enumerate(grid_trips(
+            sched, ComplexField(start, dx, -(grid_n // 2) * dx, WAVELENGTH),
+            20, fresnel_round_trip)):
+        u2, u1, du2, _ = sol._eval(float(n))
+        w_ronskian = math.exp(-sched.friction.evaluate(float(n))[0])
+        grid = (grid_n, field.x0, field.dx,
+                field.x0 + (grid_n // 2) * field.dx)
+        raw = sum(weight * kanai._propagate(packet, PARAMS, grid, n, u1, u2,
+                                            du2, w_ronskian, field._rate)._raw
+                  for weight, packet in packets)
+        analytic = ComplexField(raw, field.dx, field.x0, WAVELENGTH,
+                                (field._rate, 1.0))
+        distances.append(phase_aligned_l2(analytic, field))
+    assert len(distances) == 21
+    assert max(distances) < 2e-3, distances
