@@ -507,52 +507,50 @@ def fresnel_round_trip(field, m):
         spectrum, dx_out, -(n // 2) * dx_out, lam, (beta, scale)))
 
 
-_MAX_PIECES = 64  # most pieces a split-step trip is cut into
-
-
 def split_step_round_trip(field, m):
     """Apply the ray matrix ``m`` exactly on the field's own uniform grid.
 
     m = K_d D_b K_a: the kick K_a multiplies the samples by
     exp(-i pi (a - 1) x^2 / (lambda b)), K_d likewise with d, and the drift
     D_b multiplies the spectrum by exp(i pi lambda b nu^2).  While a kick
-    would alias, the trip is halved, m^(1/2) = (m + I) / sqrt(2 + a + d), and
-    run as that many pieces of two transforms each; between pieces K_a and
-    K_d merge into one kick, checked at twice the chirp.  Raises
-    :class:`NearFocalPlaneError` for |b| <= EPSILON_B,
+    would alias, the trip runs as two trips of its half,
+    m^(1/2) = (m + I) / sqrt(2 + a + d), at most six halvings deep; each
+    half trip checks its own kicks and reach on the field it is given.
+    Raises :class:`NearFocalPlaneError` for |b| <= EPSILON_B,
     :class:`NearInstabilityError` when a trip with a + d <= -2 needs halving,
-    and :class:`SamplingError` when the kicks alias at ``_MAX_PIECES`` pieces
-    or a drift carries the field out of the window.
+    and :class:`SamplingError` when the kicks alias at 64 pieces or a drift
+    carries the field out of the window.
     """
-    a_el, b_el, d_el = m.a, m.b, m.d
-    if abs(b_el) <= EPSILON_B:
+    if abs(m.b) <= EPSILON_B:
         raise NearFocalPlaneError(
             "|b| = %g <= %g: reference plane too close to a focal plane "
-            "for the drift" % (abs(b_el), EPSILON_B))
-    pieces = 1
-    while True:
-        kick = max(abs(a_el - 1.0), abs(d_el - 1.0)) * min(pieces, 2)
-        try:
-            _check_chirp_sampling(field, kick, b_el)
-            break
-        except SamplingError:
-            if pieces == _MAX_PIECES:
-                raise
+            "for the drift" % (abs(m.b), EPSILON_B))
+    return _split_step(field, m, 6)
+
+
+def _split_step(field, m, halvings):
+    """One kick-drift-kick trip of ``m``, or two trips of its half while
+    the kick aliases and ``halvings`` remain."""
+    a_el, b_el, d_el = m.a, m.b, m.d
+    try:
+        _check_chirp_sampling(field, max(abs(a_el - 1.0), abs(d_el - 1.0)),
+                              b_el)
+    except SamplingError:
+        if not halvings:
+            raise
         if a_el + d_el <= -2.0:
             raise NearInstabilityError("a + d = %g <= -2: the trip has no "
                                        "real half to split" % (a_el + d_el))
         root = math.sqrt(2.0 + a_el + d_el)
-        a_el, b_el, d_el = (a_el + 1.0) / root, b_el / root, (d_el + 1.0) / root
-        pieces *= 2
+        halved = AbcdMatrix((a_el + 1.0) / root, b_el / root, m.c / root,
+                            (d_el + 1.0) / root)
+        return _split_step(_split_step(field, halved, halvings - 1), halved,
+                           halvings - 1)
     lam, n = field.wavelength, field.n_samples
-    # k pieces send x to a_k x - lambda b_k nu, (a_k, b_k) the first row of
-    # the piece's k-th power: after every piece x must stay in the window
+    # the drift sends x to a x - lambda b nu: x must stay in the window
     x_edge, nu_mean, nu_std = field._chirp_stats
-    a_k, b_k, c_el, reach = 1.0, 0.0, (a_el * d_el - 1.0) / b_el, 0.0
-    for _ in range(pieces):
-        a_k, b_k = a_k * a_el + b_k * c_el, a_k * b_el + b_k * d_el
-        reach = max(reach, abs(a_k) * x_edge
-                    + lam * abs(b_k) * (abs(nu_mean) + 5.0 * nu_std))
+    reach = abs(a_el) * x_edge + lam * abs(b_el) * (abs(nu_mean)
+                                                    + 5.0 * nu_std)
     edge = min(-field.x0, field.x0 + n * field.dx)
     if reach > edge:
         raise SamplingError("a drift carries the field to %.3g, past the "
@@ -574,13 +572,10 @@ def split_step_round_trip(field, m):
     half = _quadratic_phase(n, math.pi * lam * b_el / (n * dx) ** 2,
                             half=True)
     drift = np.concatenate((half, half[-2:0:-1]))
-    between = last * first if pieces > 1 else None
-    out = first * field.samples
-    for piece in range(pieces, 0, -1):
-        spectrum = np.fft.fft(out)
-        spectrum *= drift
-        out = np.fft.ifft(spectrum)
-        out *= between if piece > 1 else last
+    spectrum = np.fft.fft(first * field.samples)
+    spectrum *= drift
+    out = np.fft.ifft(spectrum)
+    out *= last
     return _carry(field, m, field.with_samples(out))
 
 
@@ -715,7 +710,7 @@ def run_collapse(sched, initial, n_max, engine="fresnel", *,
     fields = grid_trips(sched, field, n_max, fresnel_round_trip
                         if engine == "fresnel" else split_step_round_trip)
     halves = np.transpose(sched.half_elements_at(np.arange(n_max + 1.0)))
-    ns, w1s, w2s, norms, centroids = [], [], [], [], []
+    w1s, w2s, norms, centroids = [], [], [], []
     diagnostic = None
     try:
         for n, field in enumerate(fields):
@@ -725,7 +720,6 @@ def run_collapse(sched, initial, n_max, engine="fresnel", *,
             w2 = spot_size(ComplexField(
                 spectrum, dx_out, -(field.n_samples // 2) * dx_out,
                 field.wavelength))
-            ns.append(n)
             w1s.append(w1)
             w2s.append(w2)
             norms.append(field.norm_sq())
@@ -736,6 +730,6 @@ def run_collapse(sched, initial, n_max, engine="fresnel", *,
                               % (n, w1, 8.0 * field.dx))
                 break
     except (SamplingError, ResolutionError) as exc:
-        diagnostic = "run truncated at trip %d: %s" % (len(ns), exc)
-    return CollapseTrace(np.array(ns), w1s, w2s, norms, centroids, engine,
-                         diagnostic)
+        diagnostic = "run truncated at trip %d: %s" % (len(w1s), exc)
+    return CollapseTrace(np.arange(len(w1s)), w1s, w2s, norms, centroids,
+                         engine, diagnostic)

@@ -23,11 +23,14 @@
 * :func:`mirror_speed_estimate` puts a schedule's right-mirror speed in
   metres per second;
 * :func:`centered_grid` and :func:`overlap` are the grid and the
-  normalised inner product the wave tests compare fields on.
+  normalised inner product the wave tests compare fields on;
+* :func:`collins_gaussian` is the closed-form image of a complex Gaussian
+  under the diffraction integral of a ray matrix, phase included.
 
 The first two need scipy, which the package does not import.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -271,3 +274,22 @@ def overlap(f1, f2):
     """Normalized modulus of the inner product, in [0, 1]."""
     ip = abs(inner_product(f1, f2))
     return ip / math.sqrt(f1.norm_sq() * f2.norm_sq())
+
+
+def collins_gaussian(alpha, beta, c, m, wavelength):
+    """(alpha', beta', c') of the image of exp((alpha x + beta) x + c),
+    Re alpha < 0, under the diffraction integral of ``m``,
+
+        sqrt(i/(lambda b)) integral exp[-i pi (a xi^2 + d x^2 - 2 x xi)
+                                        / (lambda b)] psi(xi) dxi,
+
+    amplitude and phase included (Collins, JOSA 60, 1168 (1970)).  With
+    k = pi / (lambda b) the integrand is exp(A xi^2 + B xi + ...),
+    A = alpha - i k a and B = beta + 2 i k x, and the Gaussian integral is
+    sqrt(pi / -A) exp(-B^2 / (4 A)), Re(-A) > 0 on the principal branch."""
+    k = math.pi / (wavelength * m.b)
+    big_a = alpha - 1j * k * m.a
+    return (-1j * k * m.d + k * k / big_a, -1j * k * beta / big_a,
+            c - beta * beta / (4.0 * big_a)
+            + 0.5 * (cmath.log(1j / (wavelength * m.b))
+                     + cmath.log(math.pi / -big_a)))
